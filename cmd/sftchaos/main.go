@@ -136,12 +136,6 @@ func runCrashGate(w io.Writer, nodes, sessions, ops, nfaults, crashes int, seed 
 	}
 	if len(points) > 0 {
 		points[len(points)-1].MidCommit = true
-		// Every crash catches an admission queue holding undispatched
-		// tasks: queued work is not durable, so restore must resurrect
-		// none of it and every parked ticket must still terminate.
-		for i := range points {
-			points[i].EnqueuedTasks = 3
-		}
 	}
 	if crashes >= 2 {
 		recrash := sim.CrashPoint{Op: points[0].Op + 1}

@@ -41,16 +41,10 @@
 // the affected rate point records restarted/restore_ms/lost_committed
 // in BENCH_load.json, and -check additionally bounds the p99 blip.
 //
-// -queue-depth serves the in-process server through the batched
-// admission queue (sftserve's default serving path); admitted points
-// then record the wait/solve latency split the queued AdmitResponse
-// reports. A "!" mix marker ("6x4!") pins a term to one concrete
-// chain, so all of its arrivals share a chain signature — the shape
-// the queue's signature coalescing batches. -gate-speedup turns the
-// baseline gate into the queue speedup check (best unsaturated adm/s
-// ≥ factor × the baseline's top), and -queue-speedup is a
-// self-contained A/B diagnostic that drives identical plans at an
-// inline and a queued server.
+// A "!" mix marker ("6x4!") pins a term to one concrete chain, so all
+// of its arrivals share a chain signature and reuse each other's
+// instances. -gate-speedup turns the baseline gate into a throughput
+// floor (best unsaturated adm/s ≥ factor × the baseline's top).
 //
 // Usage:
 //
@@ -59,8 +53,7 @@
 //	sftload -rates 24 -duration 5s -faults 2 -check
 //	sftload -rates 512 -duration 5s -gate BENCH_load.json
 //	sftload -rates 16 -duration 4s -restart 2s -check
-//	sftload -queue-depth 1024 -mix '6x4!' -rates 768 -gate BENCH_load.json -gate-speedup 1.5
-//	sftload -queue-speedup 0.9 -duration 4s
+//	sftload -mix '6x4!' -rates 768 -gate BENCH_load.json -gate-speedup 1.5
 package main
 
 import (
@@ -103,8 +96,8 @@ func main() {
 // sig is one term of the chain-signature mix: tasks with |D|=dests
 // destinations and a chain of chainLen VNFs, drawn with the given
 // weight. fixed pins the term to one concrete chain — every arrival
-// drawn from it shares the exact chain signature, the workload shape
-// the admission queue's signature coalescing is built for.
+// drawn from it shares the exact chain signature, so admissions reuse
+// each other's deployed instances.
 type sig struct {
 	dests, chainLen int
 	weight          float64
@@ -172,7 +165,7 @@ func makePlan(net *nfv.Network, rng *rand.Rand, rate float64, warmup, window tim
 	total := warmup + window
 	// fixedChains caches the one chain each fixed ("!") mix term pins
 	// for this plan: every arrival of the term reuses it, so they all
-	// share a chain signature in the admission queue.
+	// share a chain signature.
 	fixedChains := make(map[int]nfv.SFC)
 	for t := time.Duration(float64(time.Second) * rng.ExpFloat64() / rate); t < total; t += time.Duration(float64(time.Second) * rng.ExpFloat64() / rate) {
 		pick := rng.Float64() * totalW
@@ -213,16 +206,11 @@ const (
 	outError            // transport or unexpected server error
 )
 
-// sample is one completed admission measurement. waitMs/solveMs split
-// the queued path's latency: time parked in the admission queue vs
-// the task's own solve-and-commit slot (both zero on the inline path,
-// which reports no split).
+// sample is one completed admission measurement.
 type sample struct {
 	measured bool
 	out      outcome
 	latMs    float64
-	waitMs   float64
-	solveMs  float64
 }
 
 // collector gathers samples from concurrent admission goroutines; the
@@ -317,12 +305,6 @@ type point struct {
 	// on unsaturated ones.
 	Saturated bool           `json:"saturated"`
 	Latency   latencySummary `json:"latency"`
-	// Wait and Solve split the queued path's admission latency: Wait is
-	// the time tickets spent parked in the admission queue before their
-	// solve slot, Solve the per-task solve-and-commit time. Present only
-	// when the server runs the batched admission queue.
-	Wait  *latencySummary `json:"wait,omitempty"`
-	Solve *latencySummary `json:"solve,omitempty"`
 	// Restarted marks the point during which -restart killed and
 	// recovered the in-process manager; RestoreMs is the WAL replay
 	// duration and LostCommitted the number of acked admissions the
@@ -347,10 +329,6 @@ type loadDoc struct {
 		HoldSec     float64 `json:"hold_sec"`
 		Faults      int     `json:"faults"`
 		Parallelism int     `json:"parallelism"`
-		// QueueDepth/BatchWindowMs record the in-process server's
-		// admission-queue settings; zero depth means inline admission.
-		QueueDepth    int     `json:"queue_depth,omitempty"`
-		BatchWindowMs float64 `json:"batch_window_ms,omitempty"`
 	} `json:"config"`
 	Points []point `json:"points"`
 	// Metrics excerpts the server's /metrics floats (cache hit rates,
@@ -395,15 +373,6 @@ type world struct {
 }
 
 func (w *world) close() {
-	if w.srv != nil {
-		if q := w.srv.Queue(); q != nil {
-			// Drain queued admissions first so no handler is left blocked
-			// on a ticket when the listener closes.
-			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-			_ = q.Close(ctx)
-			cancel()
-		}
-	}
 	if w.ts != nil {
 		w.ts.Close()
 	}
@@ -555,9 +524,6 @@ func run(args []string, stdout io.Writer) error {
 		check    = fs.Bool("check", false, "smoke-gate mode: fail unless admissions, zero unsaturated drops, warm cache hit rates and a request-ID trace are observed")
 		gate     = fs.String("gate", "", "regression-gate mode: fail if sustained adm/s at this baseline BENCH_load.json's top rate point dropped more than 10%")
 		restart  = fs.Duration("restart", 0, "kill and WAL-restore the in-process manager this long into the first rate point (0 disables; in-process mode only)")
-		qdepth   = fs.Int("queue-depth", 0, "run the in-process server's batched admission queue at this depth (0 = inline admission)")
-		qwindow  = fs.Duration("batch-window", 2*time.Millisecond, "admission-queue batch window for the in-process server (with -queue-depth)")
-		speedup  = fs.Float64("queue-speedup", 0, "dual-run diagnostic gate: queued server must sustain this multiple of the inline server's adm/s at an overloaded shared-signature point, with no regression at the mixed point (0 disables)")
 		gateSpee = fs.Float64("gate-speedup", 0, "with -gate: require this run's best unsaturated adm/s to reach this multiple of the baseline's top unsaturated adm/s (0 = same-rate no-regression check)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -583,24 +549,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	if *speedup > 0 {
-		if *url != "" {
-			return errors.New("-queue-speedup needs the in-process servers; it cannot A/B a remote one")
-		}
-		return runQueueSpeedup(network, core.Options{Parallelism: *par}, *seed,
-			*duration, *warmup, *drain, *hold, *qdepth, *qwindow, *speedup, stdout)
-	}
-
 	w := &world{url: *url, opts: core.Options{Parallelism: *par}}
 	if *url == "" {
 		reg := obs.NewRegistry()
 		quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-		cfg := server.Config{
-			Registry:    reg,
-			Logger:      quiet,
-			QueueDepth:  *qdepth,
-			BatchWindow: *qwindow,
-		}
+		cfg := server.Config{Registry: reg, Logger: quiet}
 		if *restart > 0 {
 			// Durable-restart mode: the manager logs every commit to a
 			// WAL (fsync per append, the crash-safe policy) so the
@@ -678,10 +631,6 @@ func run(args []string, stdout io.Writer) error {
 	doc.Config.HoldSec = hold.Seconds()
 	doc.Config.Faults = *faultsN
 	doc.Config.Parallelism = *par
-	doc.Config.QueueDepth = *qdepth
-	if *qdepth > 0 {
-		doc.Config.BatchWindowMs = float64(*qwindow) / float64(time.Millisecond)
-	}
 
 	fmt.Fprintf(stdout, "%10s %9s %9s %6s %5s %9s %8s %8s %8s %8s %7s %4s\n",
 		"rate/s", "admitted", "rejected", "errs", "drop", "adm/s", "p50ms", "p95ms", "p99ms", "p999ms", "rej%", "sat")
@@ -797,128 +746,6 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// newSelfWorld boots one in-process server for the A/B speedup gate.
-func newSelfWorld(network *nfv.Network, opts core.Options, qdepth int, qwindow time.Duration) *world {
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	reg := obs.NewRegistry()
-	srv := server.NewWith(network, opts, server.Config{
-		Registry:    reg,
-		Logger:      quiet,
-		QueueDepth:  qdepth,
-		BatchWindow: qwindow,
-	})
-	w := &world{opts: opts, srv: srv, reg: reg, mgr: srv.Manager()}
-	w.ts = httptest.NewServer(srv)
-	w.url = w.ts.URL
-	transport := &http.Transport{MaxIdleConns: 256, MaxIdleConnsPerHost: 256}
-	w.client = server.NewClient(w.url, &http.Client{Transport: transport, Timeout: 30 * time.Second})
-	return w
-}
-
-// Speedup-gate workload shape: the shared-signature point offers one
-// fixed chain far past saturation (where signature coalescing pays),
-// the mixed point offers the default mixed-signature curve at a
-// comfortably unsaturated rate (where the queue must not cost
-// anything).
-const (
-	speedupSharedMix  = "6x4!"
-	speedupSharedRate = 2048.0
-	speedupMixedMix   = "2x2:2,4x3:2,8x5:1"
-	speedupMixedRate  = 128.0
-	// speedupMixedTolerance is the fraction of the inline server's
-	// mixed-point adm/s the queued server must retain.
-	speedupMixedTolerance = 0.90
-)
-
-// runQueueSpeedup is the A/B admission-queue gate: two in-process
-// servers on clones of the same network — one admitting inline, one
-// behind the batched queue — are driven with identical pre-generated
-// plans. The queued server must sustain at least `factor` times the
-// inline adm/s at the overloaded shared-signature point and at least
-// speedupMixedTolerance of it at the unsaturated mixed point.
-func runQueueSpeedup(network *nfv.Network, opts core.Options, seed int64, duration, warmup, drain, hold time.Duration, qdepth int, qwindow time.Duration, factor float64, stdout io.Writer) error {
-	if qdepth <= 0 {
-		qdepth = 1024
-	}
-	sharedMix, err := parseMix(speedupSharedMix)
-	if err != nil {
-		return err
-	}
-	mixedMix, err := parseMix(speedupMixedMix)
-	if err != nil {
-		return err
-	}
-	// Both variants replay the exact same arrival schedules.
-	sharedPlan, err := makePlan(network, rand.New(rand.NewSource(seed+501)), speedupSharedRate, warmup, duration, sharedMix, hold)
-	if err != nil {
-		return err
-	}
-	mixedPlan, err := makePlan(network, rand.New(rand.NewSource(seed+502)), speedupMixedRate, warmup, duration, mixedMix, hold)
-	if err != nil {
-		return err
-	}
-
-	ctx := context.Background()
-	type variant struct {
-		name          string
-		depth         int
-		shared, mixed point
-	}
-	variants := []*variant{
-		{name: "inline", depth: 0},
-		{name: "queued", depth: qdepth},
-	}
-	fmt.Fprintf(stdout, "%8s %8s %10s %9s %9s %6s %5s %9s %8s %4s\n",
-		"server", "point", "rate/s", "admitted", "rejected", "errs", "drop", "adm/s", "p99ms", "sat")
-	for _, v := range variants {
-		w := newSelfWorld(network.Clone(), opts, v.depth, qwindow)
-		relCtx, relCancel := context.WithCancel(ctx)
-		var relWG sync.WaitGroup
-		run := func(plan []arrival, rate float64, label string) (point, error) {
-			pt, err := runPoint(ctx, w, plan, rate, warmup, duration, 0, drain, relCtx, &relWG)
-			if err != nil {
-				return pt, err
-			}
-			sat := ""
-			if pt.Saturated {
-				sat = "yes"
-			}
-			fmt.Fprintf(stdout, "%8s %8s %10.1f %9d %9d %6d %5d %9.1f %8.2f %4s\n",
-				v.name, label, pt.OfferedRate, pt.Admitted, pt.Rejected, pt.Errors, pt.Dropped,
-				pt.AdmitsPerSec, pt.Latency.P99, sat)
-			return pt, nil
-		}
-		v.shared, err = run(sharedPlan, speedupSharedRate, "shared")
-		if err == nil {
-			v.mixed, err = run(mixedPlan, speedupMixedRate, "mixed")
-		}
-		relCancel()
-		relWG.Wait()
-		w.close()
-		if err != nil {
-			return err
-		}
-	}
-
-	inline, queued := variants[0], variants[1]
-	if inline.shared.Admitted == 0 || inline.mixed.Admitted == 0 {
-		return errors.New("queue speedup gate: inline baseline admitted nothing; comparison is vacuous")
-	}
-	ratio := queued.shared.AdmitsPerSec / inline.shared.AdmitsPerSec
-	if ratio < factor {
-		return fmt.Errorf("queue speedup gate failed: shared-signature point %.1f adm/s queued vs %.1f inline (%.2fx < %.2fx)",
-			queued.shared.AdmitsPerSec, inline.shared.AdmitsPerSec, ratio, factor)
-	}
-	if queued.mixed.AdmitsPerSec < speedupMixedTolerance*inline.mixed.AdmitsPerSec {
-		return fmt.Errorf("queue speedup gate failed: mixed point regressed to %.1f adm/s queued vs %.1f inline (floor %.0f%%)",
-			queued.mixed.AdmitsPerSec, inline.mixed.AdmitsPerSec, 100*speedupMixedTolerance)
-	}
-	fmt.Fprintf(stdout, "queue speedup gate OK: %.2fx at the shared-signature point (%.1f vs %.1f adm/s), mixed point %.1f vs %.1f adm/s\n",
-		ratio, queued.shared.AdmitsPerSec, inline.shared.AdmitsPerSec,
-		queued.mixed.AdmitsPerSec, inline.mixed.AdmitsPerSec)
-	return nil
-}
-
 // loadGateTolerance is the fraction of the baseline's sustained
 // admission throughput this run must reach at the baseline's top
 // offered rate for gateThroughput to pass.
@@ -931,11 +758,11 @@ const loadGateTolerance = 0.90
 // sustainable throughput) must sustain at least loadGateTolerance of
 // the baseline's adm/s, and the run must include a point at that
 // exact offered rate (pass matching -rates) or the comparison is
-// vacuous and fails loudly. With speedupFactor > 0 it is the
-// admission-queue speedup gate instead: this run's best unsaturated
-// point — typically a shared-signature mix the queue coalesces — must
-// sustain at least that multiple of the baseline's top unsaturated
-// adm/s.
+// vacuous and fails loudly. With speedupFactor > 0 it is a
+// throughput floor instead: this run's best unsaturated point —
+// typically a shared-signature mix whose admissions reuse each other's
+// instances — must sustain at least that multiple of the baseline's
+// top unsaturated adm/s.
 func gateThroughput(path string, doc *loadDoc, speedupFactor float64, stdout io.Writer) error {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -970,14 +797,14 @@ func gateThroughput(path string, doc *loadDoc, speedupFactor float64, stdout io.
 			}
 		}
 		if best == nil {
-			return errors.New("queue speedup gate: every point in this run saturated; offer a sustainable rate")
+			return errors.New("throughput floor gate: every point in this run saturated; offer a sustainable rate")
 		}
 		floor := speedupFactor * top.AdmitsPerSec
 		if best.AdmitsPerSec < floor {
-			return fmt.Errorf("queue speedup gate failed: %.1f adm/s at %.0f/s, below %.1f (%.2fx of baseline %.1f)",
+			return fmt.Errorf("throughput floor gate failed: %.1f adm/s at %.0f/s, below %.1f (%.2fx of baseline %.1f)",
 				best.AdmitsPerSec, best.OfferedRate, floor, speedupFactor, top.AdmitsPerSec)
 		}
-		fmt.Fprintf(stdout, "queue speedup gate OK: %.1f adm/s sustained at %.0f/s, %.2fx the baseline's %.1f (floor %.1f)\n",
+		fmt.Fprintf(stdout, "throughput floor gate OK: %.1f adm/s sustained at %.0f/s, %.2fx the baseline's %.1f (floor %.1f)\n",
 			best.AdmitsPerSec, best.OfferedRate, best.AdmitsPerSec/top.AdmitsPerSec, top.AdmitsPerSec, floor)
 		return nil
 	}
@@ -1049,7 +876,6 @@ func runPoint(ctx context.Context, w *world, plan []arrival, rate float64, warmu
 			switch {
 			case err == nil:
 				s.out = outAdmitted
-				s.waitMs, s.solveMs = resp.WaitMS, resp.SolveMS
 				w.trackAdmit(resp.ID)
 				if a.hold > 0 {
 					relWG.Add(1)
@@ -1080,7 +906,7 @@ func runPoint(ctx context.Context, w *world, plan []arrival, rate float64, warmu
 	flapWG.Wait()
 
 	pt := point{OfferedRate: rate, Offered: offeredMeasured}
-	var lats, waits, solves []float64
+	var lats []float64
 	completedMeasured := 0
 	for _, s := range col.snapshot() {
 		if !s.measured {
@@ -1091,11 +917,6 @@ func runPoint(ctx context.Context, w *world, plan []arrival, rate float64, warmu
 		case outAdmitted:
 			pt.Admitted++
 			lats = append(lats, s.latMs)
-			if s.solveMs > 0 {
-				// The queued path reports the wait/solve split.
-				waits = append(waits, s.waitMs)
-				solves = append(solves, s.solveMs)
-			}
 		case outRejected:
 			pt.Rejected++
 		default:
@@ -1108,10 +929,6 @@ func runPoint(ctx context.Context, w *world, plan []arrival, rate float64, warmu
 		pt.RejectionRate = float64(pt.Rejected) / float64(completedMeasured)
 	}
 	pt.Latency = summarize(lats)
-	if len(solves) > 0 {
-		ws, ss := summarize(waits), summarize(solves)
-		pt.Wait, pt.Solve = &ws, &ss
-	}
 	pt.Saturated = pt.Dropped > 0 ||
 		float64(completedMeasured) < saturationCompletionFrac*float64(offeredMeasured) ||
 		pt.Latency.P99 > saturationP99Ms

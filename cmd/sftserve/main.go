@@ -71,13 +71,11 @@ var onReady func(addr string)
 
 // shutdownSteps names the ordered phases of a graceful stop. Any step
 // may be nil (the feature is not enabled); runShutdown skips nils but
-// never reorders: the HTTP listener drains first (no new enqueues),
-// then the queue drains (accepted tickets resolve), then the manager
-// waits out in-flight commits, then the final snapshot folds the WAL,
-// and only then does the log close.
+// never reorders: the HTTP listener drains first (no new admissions),
+// then the manager waits out in-flight commits, then the final
+// snapshot folds the WAL, and only then does the log close.
 type shutdownSteps struct {
 	httpShutdown func(context.Context) error
-	queueDrain   func(context.Context) error
 	mgrDrain     func(context.Context) error
 	checkpoint   func() (uint64, error)
 	closeWAL     func() error
@@ -86,16 +84,11 @@ type shutdownSteps struct {
 // runShutdown executes the steps in order under one drain budget. The
 // HTTP shutdown error is returned (it decides the exit status); later
 // failures are logged and do not abort the remaining steps — a stuck
-// queue must not keep the WAL from its final snapshot.
+// drain must not keep the WAL from its final snapshot.
 func runShutdown(ctx context.Context, steps shutdownSteps, logger *slog.Logger) error {
 	var httpErr error
 	if steps.httpShutdown != nil {
 		httpErr = steps.httpShutdown(ctx)
-	}
-	if steps.queueDrain != nil {
-		if err := steps.queueDrain(ctx); err != nil {
-			logger.Error("drain admission queue", "err", err)
-		}
 	}
 	if steps.mgrDrain != nil {
 		if err := steps.mgrDrain(ctx); err != nil {
@@ -145,8 +138,6 @@ func run(ctx context.Context, args []string) error {
 		drain     = fs.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown drain budget")
 		solveMax  = fs.Duration("solve-timeout", 0, "ceiling on any one solve/admission; the solver returns its best embedding so far at the deadline (0 = unbounded)")
 		sample    = fs.Duration("sample-interval", 5*time.Second, "Go-runtime sampler period feeding /metrics (goroutines, heap, GC pauses); 0 disables")
-		queueDep  = fs.Int("queue-depth", 256, "bounded admission queue depth for POST /v1/sessions; overflow answers 429 with Retry-After; 0 solves inline")
-		batchWin  = fs.Duration("batch-window", 2*time.Millisecond, "how long the admission dispatcher lingers so a burst pools into one chain-signature batch")
 		walDir    = fs.String("wal-dir", "", "write-ahead-log directory for durable admission state; empty disables durability")
 		snapEvery = fs.Duration("snapshot-interval", time.Minute, "how often to fold the WAL into a compacted snapshot; 0 disables periodic snapshots")
 		fsyncPol  = fs.String("fsync", "always", "WAL fsync policy: always (fsync per commit), interval (batched), none (OS-buffered)")
@@ -222,8 +213,6 @@ func run(ctx context.Context, args []string) error {
 		Logger:       logger,
 		SolveTimeout: *solveMax,
 		Manager:      mgr,
-		QueueDepth:   *queueDep,
-		BatchWindow:  *batchWin,
 	})
 	if *sample > 0 {
 		stopSampler := obs.StartRuntimeSampler(ctx, reg, *sample)
@@ -302,12 +291,10 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	// Graceful drain: stop accepting, let in-flight solves finish,
-	// then run the durability epilogue in its fixed order — queue
-	// drain strictly after the HTTP drain (handlers blocked on tickets
-	// have returned; accepted tickets still resolve), manager drain
-	// after that (a commit raced against the deadline may still hold
-	// the WAL), then the final snapshot so the next boot replays
-	// nothing, and only then the log close.
+	// then run the durability epilogue in its fixed order — manager
+	// drain after the HTTP drain (a commit raced against the deadline
+	// may still hold the WAL), then the final snapshot so the next
+	// boot replays nothing, and only then the log close.
 	logger.Info("shutting down", "drain", drain.String())
 	sctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
@@ -317,9 +304,6 @@ func run(ctx context.Context, args []string) error {
 			<-errCh // Serve has returned http.ErrServerClosed
 			return err
 		},
-	}
-	if q := srv.Queue(); q != nil {
-		steps.queueDrain = q.Close
 	}
 	if walLog != nil {
 		m := srv.Manager()

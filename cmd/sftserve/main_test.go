@@ -96,10 +96,9 @@ func stopServer(t *testing.T, cancel context.CancelFunc, done chan error) {
 }
 
 // TestShutdownOrdering is the regression test for the graceful-stop
-// sequence: hs.Shutdown → queue drain → Manager.Drain → snapshot →
-// WAL close. A reorder here can lose committed state (closing the log
-// before the final snapshot) or strand queued tickets (draining the
-// manager while the queue still dispatches into it).
+// sequence: hs.Shutdown → Manager.Drain → snapshot → WAL close. A
+// reorder here can lose committed state (closing the log before the
+// final snapshot, or snapshotting while a commit still holds the WAL).
 func TestShutdownOrdering(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	record := func(got *[]string, name string) func(context.Context) error {
@@ -112,7 +111,6 @@ func TestShutdownOrdering(t *testing.T) {
 	var got []string
 	steps := shutdownSteps{
 		httpShutdown: record(&got, "http"),
-		queueDrain:   record(&got, "queue"),
 		mgrDrain:     record(&got, "mgr"),
 		checkpoint: func() (uint64, error) {
 			got = append(got, "snapshot")
@@ -126,14 +124,13 @@ func TestShutdownOrdering(t *testing.T) {
 	if err := runShutdown(context.Background(), steps, logger); err != nil {
 		t.Fatalf("runShutdown: %v", err)
 	}
-	want := []string{"http", "queue", "mgr", "snapshot", "close"}
+	want := []string{"http", "mgr", "snapshot", "close"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("shutdown order = %v, want %v", got, want)
 	}
 
 	// Nil steps (feature off) are skipped without reordering the rest.
 	got = nil
-	steps.queueDrain = nil
 	steps.checkpoint = nil
 	if err := runShutdown(context.Background(), steps, logger); err != nil {
 		t.Fatalf("runShutdown with nil steps: %v", err)
@@ -152,9 +149,9 @@ func TestShutdownOrdering(t *testing.T) {
 			got = append(got, "http")
 			return sentinel
 		},
-		queueDrain: func(context.Context) error {
-			got = append(got, "queue")
-			return errors.New("queue stuck too")
+		mgrDrain: func(context.Context) error {
+			got = append(got, "mgr")
+			return errors.New("drain stuck too")
 		},
 		closeWAL: func() error {
 			got = append(got, "close")
@@ -164,7 +161,7 @@ func TestShutdownOrdering(t *testing.T) {
 	if err := runShutdown(context.Background(), steps, logger); !errors.Is(err, sentinel) {
 		t.Fatalf("runShutdown error = %v, want the http shutdown error", err)
 	}
-	if want := []string{"http", "queue", "close"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"http", "mgr", "close"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("shutdown order after errors = %v, want %v", got, want)
 	}
 }

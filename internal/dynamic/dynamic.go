@@ -102,9 +102,6 @@ type Manager struct {
 	commitConflicts     int
 	admitRetries        int
 	serializedFallbacks int
-	// coalescedSolves counts batch admissions that committed off a
-	// reused snapshot (see AdmitBatch).
-	coalescedSolves int
 
 	// met holds the optional registry handles (see Instrument).
 	met *managerMetrics
@@ -147,7 +144,6 @@ type managerMetrics struct {
 	commitConflicts                *obs.Counter
 	admitRetries                   *obs.Counter
 	serializedFallbacks            *obs.Counter
-	coalescedSolves                *obs.Counter
 	live, liveInstances, degraded  *obs.Gauge
 	solveMS, repairCostDelta       *obs.Histogram
 	// Durability counters (see AttachWAL / Checkpoint).
@@ -195,7 +191,6 @@ func (m *Manager) Instrument(reg *obs.Registry) *Manager {
 		commitConflicts:     reg.Counter("admit_commit_conflicts_total"),
 		admitRetries:        reg.Counter("admit_retries_total"),
 		serializedFallbacks: reg.Counter("admit_serialized_fallbacks_total"),
-		coalescedSolves:     reg.Counter("admit_coalesced_solves_total"),
 		live:                reg.Gauge("sessions_live"),
 		liveInstances:       reg.Gauge("instances_live"),
 		degraded:            reg.Gauge("sessions_degraded"),
@@ -289,12 +284,21 @@ func (m *Manager) Admit(task nfv.Task) (*Session, error) {
 // session. On conflict it re-solves against a fresh snapshot up to
 // maxAdmitRetries times, then falls back to one serialized
 // solve-and-commit under the lock.
+//
+// A context that is already done on entry fails the admission with
+// ErrRejected wrapping the context error, without solving: no feasible
+// embedding exists yet, the one case in which an expired deadline is
+// a failure rather than an early stop. It is not counted as a
+// rejection, since nothing was asked of the network.
 func (m *Manager) AdmitCtx(ctx context.Context, task nfv.Task) (*Session, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrRejected, err)
+	}
 	m.inflight.Add(1)
 	defer m.inflight.Done()
 	start := time.Now()
-	out := m.admitLoop(ctx, task, nil)
-	m.finishAdmit(out.tracing, out.rec, ctx, out.par, out.retries, out.sess, out.res, out.err, start)
+	out := m.admitLoop(ctx, task)
+	m.finishAdmit(ctx, out, start)
 	if out.err != nil {
 		return nil, out.err
 	}
@@ -302,8 +306,7 @@ func (m *Manager) AdmitCtx(ctx context.Context, task nfv.Task) (*Session, error)
 }
 
 // admitOutcome bundles one admission's final result plus the telemetry
-// finishAdmit reports and the snapshot-reuse state AdmitBatch threads
-// from task to task.
+// finishAdmit reports.
 type admitOutcome struct {
 	sess    *Session
 	res     *core.Result
@@ -312,37 +315,16 @@ type admitOutcome struct {
 	par     int
 	retries int
 	tracing *obs.TraceBuffer
-	// coalesced marks an admission whose committed attempt solved
-	// against a snapshot inherited from an earlier batch task instead
-	// of a fresh clone.
-	coalesced bool
-	// snap is the snapshot behind the final optimistic attempt;
-	// snapValid marks it reusable (the attempt committed without
-	// falling back to the serialized path). AdmitBatch hands it to the
-	// next task when the network version has not moved since.
-	snap      snapshot
-	snapValid bool
 }
 
 // admitLoop runs the optimistic solve/commit protocol for one task:
 // solve outside the lock against a snapshot, validate-and-commit under
 // it, re-solve on conflict up to maxAdmitRetries times, then fall back
-// to one serialized solve-and-commit. reuse, when non-nil, serves the
-// first attempt instead of a fresh clone — the batch path passes the
-// previous task's snapshot while the version triple proves it still
-// equals the live state, so an epoch-stable run of admissions shares
-// one clone and one scaffold warm-up.
-func (m *Manager) admitLoop(ctx context.Context, task nfv.Task, reuse *snapshot) admitOutcome {
+// to one serialized solve-and-commit.
+func (m *Manager) admitLoop(ctx context.Context, task nfv.Task) admitOutcome {
 	var out admitOutcome
 	for {
-		var snap snapshot
-		if reuse != nil {
-			snap, out.coalesced = *reuse, true
-			reuse = nil
-		} else {
-			out.coalesced = false
-			snap = m.takeSnapshot()
-		}
+		snap := m.takeSnapshot()
 		out.tracing, out.par = snap.trace, snap.opts.Parallelism
 		attempt := snap.opts
 		attempt.Ctx = ctx
@@ -362,10 +344,6 @@ func (m *Manager) admitLoop(ctx context.Context, task nfv.Task, reuse *snapshot)
 			if stale := m.noteRejectionLocked(snap); !stale {
 				out.sess = nil
 				out.err = fmt.Errorf("%w: %w", ErrRejected, out.err)
-				// The stale check just proved the version unmoved, so
-				// the snapshot still equals the live state: a batch
-				// can reuse it for the next task.
-				out.snap, out.snapValid = snap, true
 				return out
 			}
 			out.retries++
@@ -378,7 +356,6 @@ func (m *Manager) admitLoop(ctx context.Context, task nfv.Task, reuse *snapshot)
 		var conflicted bool
 		out.sess, out.err, conflicted = m.tryCommit(snap, task, out.res)
 		if !conflicted {
-			out.snap, out.snapValid = snap, true
 			return out
 		}
 		out.retries++
@@ -393,36 +370,36 @@ func (m *Manager) admitLoop(ctx context.Context, task nfv.Task, reuse *snapshot)
 // outcome (success, rejection, or fallback result) is final. Exactly
 // one trace is added per AdmitCtx call, carrying the spans of the
 // attempt that produced the outcome.
-func (m *Manager) finishAdmit(buf *obs.TraceBuffer, rec *obs.SpanRecorder, ctx context.Context, par, retries int, sess *Session, res *core.Result, err error, start time.Time) {
+func (m *Manager) finishAdmit(ctx context.Context, out admitOutcome, start time.Time) {
 	if m.met != nil {
 		m.met.solveMS.ObserveDuration(time.Since(start))
 	}
-	if buf == nil {
+	if out.tracing == nil {
 		return
 	}
 	t := obs.Trace{
 		Op:          "admit",
 		RequestID:   obs.RequestID(ctx),
 		Session:     -1,
-		Parallelism: par,
-		Retries:     retries,
+		Parallelism: out.par,
+		Retries:     out.retries,
 		Start:       start,
 		DurationNs:  time.Since(start).Nanoseconds(),
 	}
-	if rec != nil {
-		t.Warm = rec.Breakdown().Warm
-		t.Spans = rec.Spans()
+	if out.rec != nil {
+		t.Warm = out.rec.Breakdown().Warm
+		t.Spans = out.rec.Spans()
 	}
-	if sess != nil {
-		t.Session = int(sess.ID)
+	if out.sess != nil {
+		t.Session = int(out.sess.ID)
 	}
-	if res != nil {
-		t.EarlyStop = res.EarlyStop
+	if out.res != nil {
+		t.EarlyStop = out.res.EarlyStop
 	}
-	if err != nil {
-		t.Err = err.Error()
+	if out.err != nil {
+		t.Err = out.err.Error()
 	}
-	buf.Add(t)
+	out.tracing.Add(t)
 }
 
 // noteRejectionLocked accounts one solver rejection. It reports the
@@ -726,6 +703,17 @@ func (m *Manager) Sessions() []*Session {
 	return out
 }
 
+// CloneNetwork takes a consistent deep clone of the managed network
+// under the manager lock — the safe way for an external observer (a
+// fault injector, the chaos harness) to read deployment state while
+// admissions commit concurrently. Network() by contrast hands back the
+// live object and is only safe when nothing is in flight.
+func (m *Manager) CloneNetwork() *nfv.Network {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.net.Clone()
+}
+
 // Active returns the number of live sessions.
 func (m *Manager) Active() int {
 	m.mu.Lock()
@@ -768,9 +756,6 @@ type Stats struct {
 	CommitConflicts     int `json:"commit_conflicts"`
 	AdmitRetries        int `json:"admit_retries"`
 	SerializedFallbacks int `json:"serialized_fallbacks"`
-	// CoalescedSolves counts batch admissions that committed off a
-	// reused snapshot (see AdmitBatch).
-	CoalescedSolves int `json:"coalesced_solves,omitempty"`
 	// Durability history; all zero without an attached WAL.
 	WALRecords      int    `json:"wal_records,omitempty"`
 	WALAppendErrors int    `json:"wal_append_errors,omitempty"`
@@ -793,7 +778,6 @@ func (m *Manager) Stats() Stats {
 		CommitConflicts:     m.commitConflicts,
 		AdmitRetries:        m.admitRetries,
 		SerializedFallbacks: m.serializedFallbacks,
-		CoalescedSolves:     m.coalescedSolves,
 		WALRecords:          m.walRecords,
 		WALAppendErrors:     m.walAppendErrors,
 		Snapshots:           m.snapshots,

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -219,5 +220,23 @@ func TestTraceLeavesBaseDeploymentsIntact(t *testing.T) {
 				t.Fatalf("deployment state diverged at vnf %d node %d", f, v)
 			}
 		}
+	}
+}
+
+// TestAdmitCtxExpiredBeforeSolve: an admission whose context is done
+// before it starts is refused with ErrRejected wrapping the context
+// error, solves nothing, and is not counted as a capacity rejection.
+func TestAdmitCtxExpiredBeforeSolve(t *testing.T) {
+	net := lineNet(t, 2)
+	m := NewManager(net, core.Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	task := nfv.Task{Source: 0, Destinations: []int{3}, Chain: nfv.SFC{0}}
+	sess, err := m.AdmitCtx(ctx, task)
+	if sess != nil || !errors.Is(err, ErrRejected) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("AdmitCtx on a cancelled context = %v, %v", sess, err)
+	}
+	if st := m.Stats(); st.Admitted != 0 || st.Rejected != 0 || m.LiveInstances() != 0 {
+		t.Fatalf("expired admission touched state: %+v, %d instances", st, m.LiveInstances())
 	}
 }

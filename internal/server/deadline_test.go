@@ -1,10 +1,12 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -106,5 +108,33 @@ func TestAdmitTimeoutQueryParam(t *testing.T) {
 	resp = postJSON(t, ts.URL+"/v1/sessions?timeout_ms=banana", task)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad timeout accepted: status %d", resp.StatusCode)
+	}
+}
+
+// TestAdmitCancelledContextIs503: an admission whose context expired
+// before the solver found any feasible embedding is a deadline miss,
+// not a capacity verdict. It must answer 503 with Retry-After, never
+// the 409 a client would read as "the network cannot host this".
+func TestAdmitCancelledContextIs503(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	net, err := netgen.Generate(netgen.PaperConfig(25, 2), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(net, core.Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions",
+		strings.NewReader(`{"source":0,"destinations":[5,9],"chain":[0,1]}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	resp := rec.Result()
+	defer resp.Body.Close()
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("503 without Retry-After")
+	}
+	assertErrorEnvelope(t, resp, http.StatusServiceUnavailable)
+	if st := srv.Manager().Stats(); st.Admitted != 0 {
+		t.Errorf("cancelled admission committed: %+v", st)
 	}
 }

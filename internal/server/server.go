@@ -6,7 +6,7 @@
 // network the server was started with.
 //
 //	GET    /healthz               liveness probe
-//	GET    /readyz                readiness probe (network + session API state)
+//	GET    /readyz                readiness probe (network, session API and admission-limiter state)
 //	GET    /metrics               JSON metrics snapshot (counters/gauges/floats/histograms)
 //	GET    /debug/traces          recent request-scoped solver span trees (bounded ring)
 //	POST   /v1/solve              {instance, algorithm?, seed?} -> embedding + costs
@@ -42,7 +42,6 @@ import (
 	"sftree/internal/exact"
 	"sftree/internal/nfv"
 	"sftree/internal/obs"
-	"sftree/internal/queue"
 	"sftree/internal/viz"
 )
 
@@ -78,21 +77,12 @@ type Config struct {
 	// server instruments and traces it; net must be the manager's
 	// network.
 	Manager *dynamic.Manager
-	// QueueDepth, when positive, routes POST /v1/sessions through the
-	// bounded async admission queue instead of solving inline: requests
-	// enqueue with their deadline, a dispatcher batches them by chain
-	// signature, and overflow answers 429 with Retry-After. Zero keeps
-	// the inline path.
-	QueueDepth int
-	// BatchWindow is how long the queue dispatcher lingers so a burst
-	// pools into one batch (queued mode only). Zero dispatches
-	// immediately.
-	BatchWindow time.Duration
-	// QueueWorkers bounds concurrent signature groups per batch. The
-	// default 1 keeps batched admissions bit-identical to serialized
-	// ones in dispatch order.
-	QueueWorkers int
 }
+
+// maxInflightAdmits bounds the admissions POST /v1/sessions runs at
+// once. Requests past the bound are shed with 429 before their body is
+// decoded, so overload cannot pile up unbounded solver goroutines.
+const maxInflightAdmits = 256
 
 // Server is the HTTP facade. Create it with New or NewWith; it
 // implements http.Handler.
@@ -109,9 +99,9 @@ type Server struct {
 	traces  *obs.TraceBuffer
 	opts    core.Options // base solver options, observer attached
 	timeout time.Duration
-	// q, when non-nil, is the async admission pipeline behind POST
-	// /v1/sessions (see Config.QueueDepth).
-	q *queue.Queue
+	// admits is the in-flight admission semaphore: one token per
+	// running POST /v1/sessions (see maxInflightAdmits).
+	admits chan struct{}
 }
 
 // New builds a server with default observability (private registry, no
@@ -137,21 +127,11 @@ func NewWith(net *nfv.Network, opts core.Options, cfg Config) *Server {
 	}
 	opts.Observer = obs.Tee(opts.Observer, cfg.Observer, obs.NewMetricsObserver(reg))
 	s := &Server{mux: http.NewServeMux(), net: net, reg: reg, traces: traces,
-		opts: opts, timeout: cfg.SolveTimeout}
+		opts: opts, timeout: cfg.SolveTimeout, admits: make(chan struct{}, maxInflightAdmits)}
 	if cfg.Manager != nil {
 		s.mgr = cfg.Manager.Instrument(reg).Trace(traces)
 	} else if net != nil {
 		s.mgr = dynamic.NewManager(net, opts).Instrument(reg).Trace(traces)
-	}
-	if cfg.QueueDepth > 0 && s.mgr != nil {
-		// The provider indirects through Manager() so the queue keeps
-		// working across the restart harness's hot swap.
-		s.q = queue.New(queue.Config{
-			Depth:       cfg.QueueDepth,
-			BatchWindow: cfg.BatchWindow,
-			Workers:     cfg.QueueWorkers,
-			Manager:     s.Manager,
-		}).Instrument(reg)
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
@@ -187,11 +167,6 @@ func (s *Server) Manager() *dynamic.Manager {
 	defer s.mgrMu.RUnlock()
 	return s.mgr
 }
-
-// Queue exposes the async admission pipeline, nil when the server
-// solves inline (Config.QueueDepth == 0). The process's shutdown
-// sequence closes it between the HTTP drain and Manager.Drain.
-func (s *Server) Queue() *queue.Queue { return s.q }
 
 // SetManager swaps the session manager backing the stateful API — the
 // crash-restart harness kills the old manager's WAL and installs the
@@ -257,12 +232,6 @@ type AdmitResponse struct {
 	// EarlyStop reports that the admission deadline expired mid-solve;
 	// the session holds the best feasible embedding found by then.
 	EarlyStop bool `json:"early_stop,omitempty"`
-	// WaitMS is the time the request spent queued before its solve
-	// slot started; zero on the inline (unqueued) path. SolveMS is the
-	// solve-and-commit time alone — clients can split saturation-born
-	// queueing delay from solver cost.
-	WaitMS  float64 `json:"wait_ms,omitempty"`
-	SolveMS float64 `json:"solve_ms,omitempty"`
 }
 
 type errorBody struct {
@@ -287,8 +256,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // stateful session API is backed by a network and how many sessions
 // are live. A stateless server is ready by construction. Durability
 // trouble — WAL append failures, or a divergence a snapshot has not
-// yet healed — degrades the reported status (still HTTP 200: the
-// instance keeps serving, but operators and probes see it).
+// yet healed — and a full admission limiter degrade the reported
+// status (still HTTP 200: the instance keeps serving, but operators
+// and probes see it).
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	mgr := s.Manager()
 	resp := map[string]any{"status": "ready", "sessions_api": mgr != nil}
@@ -300,16 +270,11 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 			resp["wal_checkpoint_dirty"] = st.CheckpointDirty
 		}
 	}
-	if s.q != nil {
-		qs := s.q.Stats()
-		resp["queue_depth"] = qs.Depth
-		resp["queue_capacity"] = qs.Capacity
-		if qs.Saturated {
-			// A full queue answers 429 until a batch drains: surface it
-			// to probes so load balancers shift traffic away.
-			resp["status"] = "degraded"
-			resp["queue_saturated"] = true
-		}
+	if len(s.admits) == cap(s.admits) {
+		// A full limiter answers 429 until an admission finishes:
+		// surface it to probes so load balancers shift traffic away.
+		resp["status"] = "degraded"
+		resp["admits_saturated"] = true
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -336,10 +301,11 @@ func checkTimeoutMS(ms int64) error {
 	return nil
 }
 
-// solveLimit resolves the effective deadline budget for one solve:
-// the request's timeout_ms (if any) capped by the server-wide
-// SolveTimeout ceiling. Zero means unbounded.
-func (s *Server) solveLimit(timeoutMS int64) time.Duration {
+// solveContext derives the deadline for one solve: the request's
+// timeout_ms (if any) capped by the server-wide SolveTimeout ceiling.
+// The returned cancel must always be called.
+func (s *Server) solveContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
+	ctx := r.Context()
 	limit := s.timeout
 	if timeoutMS > 0 {
 		asked := time.Duration(timeoutMS) * time.Millisecond
@@ -347,15 +313,6 @@ func (s *Server) solveLimit(timeoutMS int64) time.Duration {
 			limit = asked
 		}
 	}
-	return limit
-}
-
-// solveContext derives the deadline for one solve: the request's
-// timeout_ms (if any) capped by the server-wide SolveTimeout ceiling.
-// The returned cancel must always be called.
-func (s *Server) solveContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	limit := s.solveLimit(timeoutMS)
 	if limit <= 0 {
 		return context.WithCancel(ctx)
 	}
@@ -502,6 +459,14 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, errors.New("server started without a network"))
 		return
 	}
+	select {
+	case s.admits <- struct{}{}:
+		defer func() { <-s.admits }()
+	default:
+		w.Header().Set("Retry-After", retryAfter)
+		writeError(w, http.StatusTooManyRequests, fmt.Errorf("admission limit of %d in-flight requests reached", maxInflightAdmits))
+		return
+	}
 	var task nfv.Task
 	if !decodeBody(w, r, &task) {
 		return
@@ -521,15 +486,15 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		}
 		timeoutMS = ms
 	}
-	if s.q != nil {
-		s.admitQueued(w, r, task, timeoutMS)
-		return
-	}
 	ctx, cancel := s.solveContext(r, timeoutMS)
 	defer cancel()
 	sess, err := mgr.AdmitCtx(ctx, task)
 	if err != nil {
-		writeError(w, admitStatus(err), err)
+		status := admitStatus(err)
+		if status == http.StatusServiceUnavailable {
+			w.Header().Set("Retry-After", retryAfter)
+		}
+		writeError(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, AdmitResponse{
@@ -540,64 +505,24 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // admitStatus maps an admission error to its HTTP status: malformed
-// tasks 400, capacity rejections 409.
+// tasks 400; a deadline or cancellation that expired before any
+// feasible embedding existed 503, since the network may well host the
+// task given time; capacity rejections 409.
 func admitStatus(err error) int {
-	if errors.Is(err, nfv.ErrInvalidTask) {
-		return http.StatusBadRequest
-	}
-	return http.StatusConflict
-}
-
-// retryAfter is the back-off hint attached to 429 responses (queue
-// overflow or a deadline that expired before a solve slot opened): one
-// batch window is long past by then, so one second is a conservative
-// "the queue has turned over" bound.
-const retryAfter = "1"
-
-// admitQueued is the queued admission path: the request enqueues with
-// its deadline (timeout_ms capped by the server ceiling, converted to
-// an absolute instant) and blocks on the ticket. Overflow and
-// in-queue expiry answer 429 with Retry-After; a closed queue or a
-// missing manager answer 503 (drain in progress / mid-restart).
-func (s *Server) admitQueued(w http.ResponseWriter, r *http.Request, task nfv.Task, timeoutMS int64) {
-	var deadline time.Time
-	if limit := s.solveLimit(timeoutMS); limit > 0 {
-		deadline = time.Now().Add(limit)
-	}
-	tk, err := s.q.Enqueue(r.Context(), task, deadline)
-	var sess *dynamic.Session
-	if err == nil {
-		sess, err = tk.Wait(r.Context())
-	}
 	switch {
-	case err == nil:
-	case errors.Is(err, queue.ErrQueueFull), errors.Is(err, queue.ErrExpired):
-		w.Header().Set("Retry-After", retryAfter)
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, queue.ErrClosed), errors.Is(err, queue.ErrUnavailable):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, dynamic.ErrRejected), errors.Is(err, nfv.ErrInvalidTask):
-		writeError(w, admitStatus(err), err)
-		return
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The client went away while queued; the admission itself
-		// still resolves inside the dispatcher.
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
+	case errors.Is(err, nfv.ErrInvalidTask):
+		return http.StatusBadRequest
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable
 	default:
-		writeError(w, admitStatus(err), err)
-		return
+		return http.StatusConflict
 	}
-	writeJSON(w, http.StatusCreated, AdmitResponse{
-		ID:        sess.ID,
-		Cost:      sess.Result.FinalCost,
-		EarlyStop: sess.Result.EarlyStop,
-		WaitMS:    float64(tk.WaitDuration()) / float64(time.Millisecond),
-		SolveMS:   float64(tk.SolveDuration()) / float64(time.Millisecond),
-	})
 }
+
+// retryAfter is the back-off hint, in seconds, attached to 429
+// (admission limiter full) and 503 (deadline expired before a
+// feasible embedding) admission responses.
+const retryAfter = "1"
 
 func (s *Server) handleSessionStats(w http.ResponseWriter, _ *http.Request) {
 	mgr := s.Manager()

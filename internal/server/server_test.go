@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sftree/internal/core"
+	"sftree/internal/graph"
 	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 	"sftree/internal/obs"
@@ -238,6 +239,101 @@ func TestSessionLifecycleOverHTTP(t *testing.T) {
 	defer badResp.Body.Close()
 	if badResp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad id status = %d", badResp.StatusCode)
+	}
+}
+
+// TestAdmitErrors is the table-driven contract for the session API's
+// error surface: bad timeout_ms values, malformed bodies and invalid
+// tasks answer 400, a well-formed task the network cannot host 409 —
+// all in the JSON error envelope.
+func TestAdmitErrors(t *testing.T) {
+	ts := newTestServer(t, true)
+	// zeroCap has servers with zero capacity: tasks validate but can
+	// never be placed.
+	g := graph.New(4)
+	for v := 1; v < 4; v++ {
+		g.MustAddEdge(v-1, v, 1)
+	}
+	zeroNet := nfv.NewNetwork(g, []nfv.VNF{{ID: 0, Name: "f0", Demand: 1}})
+	for _, v := range []int{1, 2} {
+		if err := zeroNet.SetServer(v, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := zeroNet.SetSetupCost(0, v, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zeroCap := httptest.NewServer(New(zeroNet, core.Options{}))
+	t.Cleanup(zeroCap.Close)
+
+	valid := `{"source":0,"destinations":[1,2],"chain":[0]}`
+	for _, tc := range []struct {
+		name   string
+		url    string
+		query  string
+		body   string
+		status int
+	}{
+		{name: "negative timeout_ms", url: ts.URL, query: "?timeout_ms=-5", body: valid, status: http.StatusBadRequest},
+		{name: "overflow timeout_ms", url: ts.URL, query: fmt.Sprintf("?timeout_ms=%d", int64(1)<<62), body: valid, status: http.StatusBadRequest},
+		{name: "unparseable timeout_ms", url: ts.URL, query: "?timeout_ms=soon", body: valid, status: http.StatusBadRequest},
+		{name: "malformed body", url: ts.URL, body: "{nope", status: http.StatusBadRequest},
+		{name: "invalid task", url: ts.URL, body: `{"source":-1,"destinations":[2],"chain":[0]}`, status: http.StatusBadRequest},
+		{name: "infeasible task", url: zeroCap.URL, body: `{"source":0,"destinations":[3],"chain":[0]}`, status: http.StatusConflict},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(tc.url+"/v1/sessions"+tc.query, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			assertErrorEnvelope(t, resp, tc.status)
+		})
+	}
+}
+
+// TestAdmitLimiterSheds fills the in-flight admission limiter: the next
+// admission must be shed with 429 and Retry-After, /readyz must report
+// degraded, and freeing one slot must let an admission through again.
+func TestAdmitLimiterSheds(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	net, err := netgen.Generate(netgen.PaperConfig(25, 2), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(net, core.Options{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	for i := 0; i < maxInflightAdmits; i++ {
+		srv.admits <- struct{}{}
+	}
+	task := nfv.Task{Source: 0, Destinations: []int{5, 9}, Chain: nfv.SFC{0, 1}}
+
+	resp := postJSON(t, ts.URL+"/v1/sessions", task)
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 without Retry-After")
+	}
+	assertErrorEnvelope(t, resp, http.StatusTooManyRequests)
+
+	rdy, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdy.Body.Close()
+	var ready struct {
+		Status    string `json:"status"`
+		Saturated bool   `json:"admits_saturated"`
+	}
+	if err := json.NewDecoder(rdy.Body).Decode(&ready); err != nil {
+		t.Fatal(err)
+	}
+	if ready.Status != "degraded" || !ready.Saturated {
+		t.Errorf("readyz with a full limiter = %+v", ready)
+	}
+
+	<-srv.admits
+	if resp := postJSON(t, ts.URL+"/v1/sessions", task); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("status after freeing a slot = %d, want 201", resp.StatusCode)
 	}
 }
 

@@ -10,14 +10,11 @@
 package sim
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"sort"
-	"time"
 
 	"sftree/internal/conformance"
 	"sftree/internal/core"
@@ -25,7 +22,6 @@ import (
 	"sftree/internal/faults"
 	"sftree/internal/netgen"
 	"sftree/internal/nfv"
-	"sftree/internal/queue"
 	"sftree/internal/wal"
 )
 
@@ -44,13 +40,6 @@ type CrashPoint struct {
 	// restore must run the torn-tail recovery path — tolerate the
 	// tear, truncate it from disk, lose nothing committed before it.
 	Torn bool `json:"torn,omitempty"`
-	// EnqueuedTasks parks this many accepted-but-undispatched tasks in
-	// an admission queue in front of the crashing manager at the moment
-	// of the kill. Queued work is not durable — nothing of it reaches
-	// the WAL — so the restore must resurrect none of it (zero phantom
-	// sessions) and every parked ticket must still terminate (with
-	// ErrClosed) when the dead queue is abandoned.
-	EnqueuedTasks int `json:"enqueued_tasks,omitempty"`
 }
 
 // CrashConfig parameterizes one crash-injection run. Everything is
@@ -88,10 +77,6 @@ type RestoreStat struct {
 	TornTail        bool   `json:"torn_tail,omitempty"`
 	Recovered       int    `json:"sessions_recovered"`
 	ReplayNs        int64  `json:"replay_ns"`
-	// ParkedAbandoned counts tickets that sat undispatched in the
-	// admission queue at the kill and were audited to terminate with
-	// ErrClosed, committing nothing.
-	ParkedAbandoned int `json:"parked_abandoned,omitempty"`
 }
 
 // CrashReport is the outcome of a crash-injection run.
@@ -221,65 +206,6 @@ func (r *crashRunner) exec(op crashOp) error {
 	return nil
 }
 
-// parked is one admission queue full of accepted-but-undispatched
-// tickets at the moment of a kill.
-type parked struct {
-	q       *queue.Queue
-	tickets []*queue.Ticket
-}
-
-// parkTasks fills a bounded queue in front of the crashing manager
-// with tasks that are still undispatched when the kill fires: the
-// batch window dwarfs the nanoseconds between the last Enqueue and
-// the kill, so the tickets are accepted but nothing about them is
-// durable. abandon audits the aftermath.
-func parkTasks(r *crashRunner, cfg CrashConfig, op, n int) (*parked, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(op)))
-	mgr := r.mgr
-	q := queue.New(queue.Config{
-		Depth:       n,
-		BatchWindow: 10 * time.Second,
-		Manager:     func() *dynamic.Manager { return mgr },
-	})
-	p := &parked{q: q}
-	net := mgr.CloneNetwork()
-	for i := 0; i < n; i++ {
-		task, err := netgen.GenerateTask(net, rng, 2+rng.Intn(3), 2+rng.Intn(2))
-		if err != nil {
-			return nil, fmt.Errorf("crash: park task: %w", err)
-		}
-		tk, err := q.Enqueue(context.Background(), task, time.Time{})
-		if err != nil {
-			return nil, fmt.Errorf("crash: park enqueue: %w", err)
-		}
-		p.tickets = append(p.tickets, tk)
-	}
-	return p, nil
-}
-
-// abandon closes the dead queue with an already-expired drain budget
-// and audits the never-lose-a-task contract across the crash: every
-// parked ticket terminates with ErrClosed, and the queue dispatched
-// nothing — the WAL saw none of these tasks, so any session the
-// restore resurrects for them surfaces as a phantom in compareRuns.
-func (p *parked) abandon(op int, rep *CrashReport) int {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_ = p.q.Close(ctx)
-	for i, tk := range p.tickets {
-		sess, err := tk.Wait(context.Background())
-		if sess != nil || !errors.Is(err, queue.ErrClosed) {
-			rep.Mismatches = append(rep.Mismatches,
-				fmt.Sprintf("parked ticket %d at op %d: sess=%v err=%v, want ErrClosed", i, op, sess, err))
-		}
-	}
-	if st := p.q.Stats(); st.Admitted != 0 || st.Rejected != 0 || st.Batches != 0 {
-		rep.Mismatches = append(rep.Mismatches,
-			fmt.Sprintf("parked queue at op %d dispatched work: %+v", op, st))
-	}
-	return len(p.tickets)
-}
-
 // RunCrash executes the oracle and the crash-injected run and compares
 // their final states. It returns an error only on setup problems;
 // divergences land in the report for the caller to judge.
@@ -398,28 +324,10 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	type crashSentinel struct{}
 	for i, op := range ops {
 		cp, crashHere := crashAt[i]
-		var park *parked
-		if crashHere && cp.EnqueuedTasks > 0 {
-			// Park queued-but-undispatched tasks so the kill catches a
-			// live admission queue mid-flight.
-			var perr error
-			if park, perr = parkTasks(run, cfg, i, cp.EnqueuedTasks); perr != nil {
-				return nil, perr
-			}
-		}
-		audit := func() {
-			if park == nil {
-				return
-			}
-			n := park.abandon(i, rep)
-			rep.Restores[len(rep.Restores)-1].ParkedAbandoned = n
-			park = nil
-		}
 		if crashHere && !cp.MidCommit {
 			if err := restore(i, cp); err != nil {
 				return nil, err
 			}
-			audit()
 		}
 		if crashHere && cp.MidCommit {
 			fired := false
@@ -452,7 +360,6 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 			if err := restore(i, cp); err != nil {
 				return nil, err
 			}
-			audit()
 			continue
 		}
 		if err := run.exec(op); err != nil {

@@ -73,40 +73,6 @@ func TestRunCrashTornDoubleCrash(t *testing.T) {
 	}
 }
 
-// TestRunCrashWithParkedQueue kills the process while an admission
-// queue holds accepted-but-undispatched tasks, at both crash flavors
-// (between ops and mid-commit). The gate requires zero phantom
-// sessions after restore — queued work is not durable — and every
-// parked ticket must still terminate with ErrClosed.
-func TestRunCrashWithParkedQueue(t *testing.T) {
-	rep, err := RunCrash(CrashConfig{
-		Nodes:    30,
-		Seed:     11,
-		Sessions: 12,
-		Ops:      25,
-		Faults:   5,
-		Crashes: []CrashPoint{
-			{Op: 14, EnqueuedTasks: 4},
-			{Op: 21, MidCommit: true, EnqueuedTasks: 3},
-		},
-		CheckpointEvery: 8,
-		Dir:             t.TempDir(),
-	})
-	if err != nil {
-		t.Fatalf("RunCrash: %v", err)
-	}
-	if !rep.Passed() {
-		t.Fatalf("gate failed: lost=%v mismatches=%v validation=%v",
-			rep.LostSessions, rep.Mismatches, rep.ValidationErrors)
-	}
-	if len(rep.Restores) != 2 {
-		t.Fatalf("restores: %+v", rep.Restores)
-	}
-	if rep.Restores[0].ParkedAbandoned != 4 || rep.Restores[1].ParkedAbandoned != 3 {
-		t.Fatalf("parked tickets not audited: %+v", rep.Restores)
-	}
-}
-
 func TestRunCrashIsDeterministic(t *testing.T) {
 	cfg := CrashConfig{
 		Nodes: 25, Seed: 3, Sessions: 8, Ops: 15, Faults: 4,

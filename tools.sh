@@ -5,14 +5,8 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + race tests + chaos + recover + conformance + bench + obs + queue + load
-#   ./tools.sh quick    # vet + gofmt only (skip the race run and smoke)
-#   ./tools.sh queue    # admission-queue gate only: the bounded
-#                       # fixed-seed equivalence battery under -race
-#                       # (batched admissions bit-identical to
-#                       # serialized same-order admits), plus the
-#                       # queue stress test mixing enqueue, release,
-#                       # Rebase and WAL checkpoints
+#   ./tools.sh          # vet + gofmt + perfbench vet/tests + race tests + chaos + recover + conformance + bench + obs + load
+#   ./tools.sh quick    # vet + gofmt + perfbench vet/tests only (skip the race run and smoke)
 #   ./tools.sh load     # load gate only: fixed-seed open-loop sftload
 #                       # run against an in-process sftserve, asserting
 #                       # non-zero admissions, zero dropped measurements
@@ -130,19 +124,6 @@ recover_gate() {
 	echo "OK (recover gate)"
 }
 
-# queue_gate proves the batched admission queue keeps the serialized
-# semantics: the equivalence battery replays fixed-seed arrival
-# scripts through the queue and through serialized AdmitCtx calls in
-# the queue's recorded dispatch order and requires bit-identical
-# sessions, refcounts and accounting; the stress test races enqueues
-# against releases, Rebase fault flaps and WAL checkpoints; the fuzz
-# seeds pin the never-lose-a-task contract. All under -race.
-queue_gate() {
-	echo "==> queue gate: equivalence battery + stress + fuzz seeds (race)"
-	go test -race -count=1 -run 'TestQueueEquivalenceBattery|TestQueueStress|FuzzQueueSchedule|TestAdmitBatch' ./internal/queue ./internal/dynamic
-	echo "OK (queue gate)"
-}
-
 # load_gate drives the open-loop load harness for a short fixed-seed
 # window with one fault flap and the -check assertions on: sessions
 # must be admitted, no measurement may be dropped at an unsaturated
@@ -154,17 +135,17 @@ queue_gate() {
 # more than 10% — regenerate the baseline after an intentional change
 # with:
 #   go run ./cmd/sftload -parallelism 4 -out BENCH_load.json
-# The third run is the admission-queue speedup gate: a queued server
-# at a shared-signature mix (one fixed chain, the shape the queue's
-# signature coalescing batches) must sustain ≥1.5x the baseline's top
-# unsaturated adm/s without itself saturating.
+# The third run is the throughput floor gate: at a shared-signature
+# mix (one fixed chain, so admissions reuse each other's instances)
+# the server must sustain ≥1.5x the baseline's top unsaturated adm/s
+# without itself saturating.
 load_gate() {
-	echo "==> load gate: sftload -rates 25 -duration 3s -faults 2 -check (queued)"
-	go run ./cmd/sftload -nodes 30 -seed 5 -rates 25 -duration 3s -warmup 1s -hold 1s -faults 2 -queue-depth 256 -check
+	echo "==> load gate: sftload -rates 25 -duration 3s -faults 2 -check"
+	go run ./cmd/sftload -nodes 30 -seed 5 -rates 25 -duration 3s -warmup 1s -hold 1s -faults 2 -check
 	echo "==> load throughput gate: top BENCH_load.json rate point, -10% tolerance"
-	go run ./cmd/sftload -nodes 50 -seed 1 -rates 512 -duration 5s -warmup 1s -hold 2s -faults 2 -parallelism 4 -queue-depth 256 -gate BENCH_load.json
-	echo "==> queue speedup gate: shared-signature mix, 1.5x baseline floor"
-	go run ./cmd/sftload -nodes 50 -seed 1 -mix '6x4!' -rates 768 -duration 4s -warmup 1s -hold 2s -queue-depth 1024 -gate BENCH_load.json -gate-speedup 1.5
+	go run ./cmd/sftload -nodes 50 -seed 1 -rates 512 -duration 5s -warmup 1s -hold 2s -faults 2 -parallelism 4 -gate BENCH_load.json
+	echo "==> throughput floor gate: shared-signature mix, 1.5x baseline floor"
+	go run ./cmd/sftload -nodes 50 -seed 1 -mix '6x4!' -rates 768 -duration 4s -warmup 1s -hold 2s -gate BENCH_load.json -gate-speedup 1.5
 	echo "OK (load gate)"
 }
 
@@ -190,11 +171,6 @@ fi
 
 if [ "${1:-}" = "load" ]; then
 	load_gate
-	exit 0
-fi
-
-if [ "${1:-}" = "queue" ]; then
-	queue_gate
 	exit 0
 fi
 
@@ -224,6 +200,12 @@ if [ -n "$fmt" ]; then
 	exit 1
 fi
 
+# perfbench is its own module, so ./... above does not reach it. Vet
+# and test it here so a change that breaks an API it imports fails
+# this gate, not only the benchmark run.
+echo "==> perfbench: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
+
 if [ "${1:-}" = "quick" ]; then
 	echo "OK (quick)"
 	exit 0
@@ -241,8 +223,6 @@ conformance_gate "${CONFORM_SEED:-1}"
 bench_gate
 
 obs_smoke
-
-queue_gate
 
 load_gate
 
