@@ -101,9 +101,8 @@ func run(args []string) error {
 }
 
 // runBenchSuite measures the hot-path micro-benchmarks (solver,
-// stage-two pass, delta-cost evaluation, replay — each with its naive
-// counterpart where one exists) and writes the benchstat-style JSON
-// regression record.
+// warm-metric solve, stage-two pass, replay, concurrent admission)
+// and writes the benchstat-style JSON regression record.
 func runBenchSuite(path string) error {
 	report, err := benchsuite.NewReport()
 	if err != nil {

@@ -6,9 +6,9 @@
 //
 // The suite mirrors the hot-path benchmarks of bench_test.go and
 // internal/core/bench_test.go: the end-to-end solvers on the standard
-// mid-size instance, the stage-two OPA pass, and the single-move
-// delta-cost evaluation — each in its incremental and naive variant
-// where both exist, so the file records the speedup itself.
+// mid-size instance (sequential and with a parallel stage-one sweep),
+// the warm-metric solve, the stage-two OPA pass, a fault-replay run
+// and concurrent admission.
 package benchsuite
 
 import (
@@ -156,17 +156,18 @@ func warmMetricBench() (Bench, error) {
 	}}, nil
 }
 
-// runnerBench wraps a prepared core runner closure.
-func runnerBench(name string, mk func(*nfv.Network, nfv.Task, core.Options) (func() error, error), opts core.Options) (Bench, error) {
+// opaPassBench measures one stage-two pass on a fresh copy of the
+// stage-one state (core.OPAPassRunner).
+func opaPassBench() (Bench, error) {
 	net, task, err := benchInstance(100, 10, 5)
 	if err != nil {
 		return Bench{}, err
 	}
-	run, err := mk(net, task, opts)
+	run, err := core.OPAPassRunner(net, task, core.Options{})
 	if err != nil {
-		return Bench{}, fmt.Errorf("benchsuite: %s: %w", name, err)
+		return Bench{}, fmt.Errorf("benchsuite: OPAPass: %w", err)
 	}
-	return Bench{Name: name, F: func(b *testing.B) {
+	return Bench{Name: "OPAPass", F: func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := run(); err != nil {
@@ -296,7 +297,6 @@ func Suite() ([]Bench, error) {
 		{"SolveTwoStage100", core.Options{}},
 		{"SolveTwoStage100Par2", core.Options{Parallelism: 2}},
 		{"SolveTwoStage100Par8", core.Options{Parallelism: 8}},
-		{"SolveTwoStage100Naive", core.Options{NaiveRecost: true}},
 	}
 	for _, s := range solves {
 		b, err := solveBench(s.name, s.opts)
@@ -310,23 +310,11 @@ func Suite() ([]Bench, error) {
 		return nil, err
 	}
 	out = append(out, wb)
-	specs := []struct {
-		name string
-		mk   func(*nfv.Network, nfv.Task, core.Options) (func() error, error)
-		opts core.Options
-	}{
-		{"OPAPass", core.OPAPassRunner, core.Options{}},
-		{"OPAPassNaive", core.OPAPassRunner, core.Options{NaiveRecost: true}},
-		{"StateDeltaCost", core.DeltaCostRunner, core.Options{}},
-		{"StateDeltaCostNaive", core.DeltaCostRunner, core.Options{NaiveRecost: true}},
+	ob, err := opaPassBench()
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range specs {
-		b, err := runnerBench(s.name, s.mk, s.opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
+	out = append(out, ob)
 	rb, err := replayBench()
 	if err != nil {
 		return nil, err

@@ -1,88 +1,23 @@
 package core
 
-import (
-	"fmt"
-
-	"sftree/internal/graph"
-	"sftree/internal/nfv"
-)
-
-// This file exports closure-based runners over the unexported stage-two
-// machinery so that out-of-package benchmark harnesses (cmd/sftbench
-// -json via internal/benchsuite) can measure the same operations the
-// in-package micro-benchmarks in bench_test.go do.
+import "sftree/internal/nfv"
 
 // OPAPassRunner prepares the stage-one state for the instance and
 // returns a closure that executes one full stage-two pass on a fresh
 // copy of it. The preparation cost (MSA, APSP warm-up) is paid once,
-// so the closure isolates the OPA pass itself.
+// so the closure isolates the OPA pass itself. It exists so that
+// out-of-package benchmark harnesses (cmd/sftbench -json via
+// internal/benchsuite) can measure the same operation as
+// BenchmarkOPAPass in bench_test.go.
 func OPAPassRunner(net *nfv.Network, task nfv.Task, opts Options) (func() error, error) {
 	net.Metric()
 	st, _, err := runMSA(net, task, opts)
 	if err != nil {
 		return nil, err
 	}
-	pass := runOPAPass
-	if opts.NaiveRecost {
-		pass = runOPAPassNaive
-	}
 	return func() error {
 		c := st.clone()
-		_, err := pass(c, opts, 1)
-		return err
-	}, nil
-}
-
-// DeltaCostRunner prepares a stage-one state plus one feasible
-// last-level re-homing move and returns a closure that prices it: with
-// the incremental engine an apply/read/revert cycle against the
-// ledger, with Options.NaiveRecost a clone-and-full-recost. It errors
-// when the instance admits no such move.
-func DeltaCostRunner(net *nfv.Network, task nfv.Task, opts Options) (func() error, error) {
-	metric := net.Metric()
-	st, _, err := runMSA(net, task, Options{})
-	if err != nil {
-		return nil, err
-	}
-	k := task.K()
-	groups := st.initialConnectionGroups(false)
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("core: instance has no independent connection groups")
-	}
-	grp := groups[0]
-	cur := st.serve[grp.members[0]][k]
-	e := -1
-	for _, u := range net.ServerList() {
-		if u != cur && st.canHost(task.Chain[k-1], u) && metric.Dist[grp.node][u] != graph.Inf {
-			e = u
-			break
-		}
-	}
-	if e == -1 {
-		return nil, fmt.Errorf("core: instance admits no alternative last-level host")
-	}
-	if opts.NaiveRecost {
-		return func() error {
-			trial := st.clone()
-			trial.applyMove(k, grp, e, metric)
-			_, err := trial.cost()
-			return err
-		}, nil
-	}
-	// Benchmark guard: this closure is what BENCH_core.json's
-	// StateDeltaCost rows measure. The ledger variant must price a move
-	// strictly faster than NaiveRecost — the map-backed ledger once
-	// regressed behind the naive path here (11.5µs vs 10.8µs, map
-	// hashing dominated the profile), which is why the ref-counts now
-	// live in flat arrays and journals are pooled. tools.sh bench gates
-	// SolveTwoStage100/OPAPass/SolveWarmMetric100 on the checked-in
-	// baseline; if this pair inverts again, treat it as a regression.
-	st.ensureLedger()
-	return func() error {
-		jr := st.applyMoveInc(k, grp, e, metric)
-		_, err := st.totalCost()
-		st.revert(jr)
-		st.releaseJournal(jr)
+		_, err := runOPAPass(c, opts, 1)
 		return err
 	}, nil
 }

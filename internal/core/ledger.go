@@ -3,28 +3,15 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"sftree/internal/graph"
 )
 
-// journalGets counts move journals handed out by snapshot and
-// journalNews the subset allocated fresh (per-ledger free list empty);
-// gets-news journals were recycled. Process-global so the telemetry
-// layer can report steady-state pool churn across every solve.
-var journalGets, journalNews atomic.Int64
-
-// JournalPoolStats reports the move-journal free-list traffic: total
-// acquisitions and how many of them allocated a new journal.
-func JournalPoolStats() (gets, news int64) {
-	return journalGets.Load(), journalNews.Load()
-}
-
 // This file implements the incremental cost engine behind stage two.
 //
-// The naive evaluation path (state.cost) materializes a full
+// Pricing a move by state.cost would materialize a full
 // nfv.Embedding — every metric path for every destination and level —
-// and re-derives the placed-instance set per candidate move. The
+// and re-derive the placed-instance set per candidate move. The
 // ledger instead mirrors the two components of objective (1a)
 // incrementally:
 //
@@ -45,10 +32,12 @@ func JournalPoolStats() (gets, news int64) {
 // O(|group| * path length) counters instead of recosting the world.
 // Every mutation is recorded in a journal; rejecting a move reverts
 // the journal, restoring the running sums bit-for-bit from snapshots.
-// Journals are pooled on the ledger (releaseJournal) so steady-state
-// move evaluation allocates nothing. The naive path is preserved
-// (Options.NaiveRecost, state.cost) and the two are asserted
-// equivalent in equivalence_test.go.
+// Only one move is open at a time (apply, price, keep or revert), so
+// the ledger owns a single journal that snapshot resets; steady-state
+// move evaluation allocates nothing. The ledger is the only engine
+// stage two prices moves with; equivalence_test.go checks it against
+// state.cost and ledger-free oracles for canHost and instanceSetupCost
+// after every step of random move sequences.
 
 // stageEdge identifies a (stage, directed edge) traversal that does
 // not correspond to a graph edge; such walks are priced +Inf and kept
@@ -90,8 +79,8 @@ type ledger struct {
 	// infEdges counts referenced (stage, edge) pairs that are not
 	// graph edges; the oracle prices such walks at +Inf.
 	infEdges int
-	// jrFree recycles journals across moves; see releaseJournal.
-	jrFree []*journal
+	// jr is the journal of the open move, reset by snapshot.
+	jr journal
 }
 
 // journal records every ledger and state mutation of one move so it
@@ -131,7 +120,7 @@ type journalCap struct {
 }
 
 // reset truncates the journal for reuse, dropping tail references so
-// pooled journals do not pin dead tail slices.
+// the journal does not pin dead tail slices.
 func (jr *journal) reset() {
 	jr.serve = jr.serve[:0]
 	for i := range jr.tails {
@@ -180,10 +169,6 @@ func (s *state) ensureLedger() {
 	}
 }
 
-// dropLedger discards the incremental state; the next ensureLedger
-// rebuilds it from scratch. Used after bulk rewrites (state cloning).
-func (s *state) dropLedger() { s.led = nil }
-
 // totalCost returns the ledger's view of objective (1a), mirroring
 // state.cost: an error when some segment has no route at all, +Inf
 // when a walk crosses a non-edge, the running sum otherwise.
@@ -198,35 +183,18 @@ func (s *state) totalCost() (float64, error) {
 	return s.led.setupSum + s.led.linkSum, nil
 }
 
-// snapshot starts a journal for one move, reusing a pooled one when
-// available. Callers that are done with a journal — after revert, or
-// once an accepted move is final — should hand it back with
-// releaseJournal so steady-state move evaluation allocates nothing.
+// snapshot starts the journal for one move: the ledger's journal,
+// reset and stamped with the current running sums. It stays valid
+// until the next snapshot.
 func (s *state) snapshot() *journal {
 	led := s.led
-	var jr *journal
-	journalGets.Add(1)
-	if n := len(led.jrFree); n > 0 {
-		jr = led.jrFree[n-1]
-		led.jrFree = led.jrFree[:n-1]
-		jr.reset()
-	} else {
-		journalNews.Add(1)
-		jr = new(journal)
-	}
+	jr := &led.jr
+	jr.reset()
 	jr.setupSum = led.setupSum
 	jr.linkSum = led.linkSum
 	jr.broken = led.brokenSegs
 	jr.infEdges = led.infEdges
 	return jr
-}
-
-// releaseJournal returns jr to the ledger's free list. The journal
-// must not be used (in particular, reverted) afterwards.
-func (s *state) releaseJournal(jr *journal) {
-	if s.led != nil {
-		s.led.jrFree = append(s.led.jrFree, jr)
-	}
 }
 
 // revert undoes every mutation recorded in jr, newest first, and
@@ -435,9 +403,13 @@ func (s *state) ledgerRemoveTail(di int, jr *journal) {
 	}
 }
 
-// applyMoveInc performs applyMove against the live ledger and returns
-// the journal that undoes it. Semantics match applyMove followed by a
-// full recost: only the group's own segments change.
+// applyMoveInc re-homes the group's members onto a new level-j
+// instance at node e, updating the live ledger, and returns the journal
+// that undoes it. For the last level the explicit tails are rewritten
+// (the new route runs e -> connection node -> old downstream suffix);
+// for inner levels only the serving assignment changes, and the walk
+// segments follow metric paths automatically. Only the group's own
+// segments change.
 func (s *state) applyMoveInc(j int, grp connGroup, e int, metric *graph.Metric) *journal {
 	s.ensureLedger()
 	jr := s.snapshot()
@@ -463,8 +435,7 @@ func (s *state) applyMoveInc(j int, grp connGroup, e int, metric *graph.Metric) 
 	if j != k {
 		return jr
 	}
-	// Last level: rewrite the explicit tails exactly as applyMove does
-	// (new route e -> connection node -> old downstream suffix).
+	// Last level: rewrite the explicit tails.
 	head := metric.Path(e, grp.node)
 	for _, di := range grp.members {
 		old := s.tail[di]
@@ -477,6 +448,8 @@ func (s *state) applyMoveInc(j int, grp connGroup, e int, metric *graph.Metric) 
 			}
 		}
 		if idx == -1 {
+			// Member does not route through the connection node (not
+			// produced by OPA's groups; keep a safe fallback route).
 			s.tail[di] = metric.Path(e, s.task.Destinations[di])
 		} else {
 			nt := make([]int, 0, len(head)+len(old)-idx-1)

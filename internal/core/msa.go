@@ -45,12 +45,6 @@ type Options struct {
 	// implementing the paper's "repeat the above procedures until one
 	// VNF cannot be deployed on multiple nodes". Zero means one pass.
 	MaxOPAPasses int
-	// NaiveRecost makes stage two price every candidate move by
-	// cloning the state and reconstructing the full embedding, the
-	// pre-ledger reference implementation, instead of the incremental
-	// cost engine (ledger.go). Semantically identical and much slower;
-	// kept for debugging and the engine-equivalence tests.
-	NaiveRecost bool
 	// AggressiveOPA is an extension beyond the paper: stage two also
 	// considers dependent root-to-leaf paths (the paper discards them)
 	// and probes the best candidate host even when the local rule is

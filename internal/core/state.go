@@ -37,8 +37,8 @@ type state struct {
 	// inclusive of both endpoints.
 	tail [][]int
 	// led is the incremental cost engine (see ledger.go), attached
-	// lazily by stage two. It always reflects serve/tail exactly; any
-	// mutation outside applyMoveInc must drop or rebuild it.
+	// lazily by stage two. It always reflects serve/tail exactly;
+	// stage two mutates the state only through applyMoveInc and revert.
 	led *ledger
 }
 
@@ -93,25 +93,11 @@ func (s *state) placedInstances() []nfv.Instance {
 	return out
 }
 
-// usedCapacity returns per-node capacity consumed by the current new
-// instances (pre-deployed demand is accounted by the Network itself).
-func (s *state) usedCapacity() map[int]float64 {
-	used := make(map[int]float64)
-	for _, inst := range s.placedInstances() {
-		vnf, err := s.net.VNF(inst.VNF)
-		if err != nil {
-			continue // unreachable: instances come from a validated task
-		}
-		used[inst.Node] += vnf.Demand
-	}
-	return used
-}
-
 // canHost reports whether chain VNF f can serve traffic from node v in
 // the current state: it is pre-deployed, already placed new, or there
-// is room to place it. With a ledger attached the answer comes from
-// the ref-count and capacity accumulators in O(1); the naive fallback
-// re-derives both from the serving assignment.
+// is room to place it. The answer comes from the ledger's ref-count and
+// capacity accumulators in O(1), so the state must carry a ledger
+// (ensureLedger).
 func (s *state) canHost(f, v int) bool {
 	if !s.net.IsServer(v) {
 		return false
@@ -119,26 +105,15 @@ func (s *state) canHost(f, v int) bool {
 	if s.net.IsDeployed(f, v) {
 		return true
 	}
-	if led := s.led; led != nil {
-		if led.instRef[f*led.n+v] > 0 {
-			return true
-		}
-		vnf, err := s.net.VNF(f)
-		if err != nil {
-			return false
-		}
-		return led.freeBase[v]-led.usedCap[v]+1e-9 >= vnf.Demand
-	}
-	for _, inst := range s.placedInstances() {
-		if inst.VNF == f && inst.Node == v {
-			return true
-		}
+	led := s.led
+	if led.instRef[f*led.n+v] > 0 {
+		return true
 	}
 	vnf, err := s.net.VNF(f)
 	if err != nil {
 		return false
 	}
-	return s.net.FreeCapacity(v)-s.usedCapacity()[v]+1e-9 >= vnf.Demand
+	return led.freeBase[v]-led.usedCap[v]+1e-9 >= vnf.Demand
 }
 
 // embedding materializes the state into an nfv.Embedding: chain

@@ -64,16 +64,13 @@ func Solve(net *nfv.Network, task nfv.Task, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	final, err := st.cost()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Observer != nil {
-		opts.emit(Event{Kind: EventStage2End, Cost: final, Moves: moves, Duration: time.Since(t2)})
-	}
 	emb, err := st.embedding()
 	if err != nil {
 		return nil, err
+	}
+	final := net.Cost(emb).Total
+	if opts.Observer != nil {
+		opts.emit(Event{Kind: EventStage2End, Cost: final, Moves: moves, Duration: time.Since(t2)})
 	}
 	if err := net.Validate(emb); err != nil {
 		return nil, fmt.Errorf("core: produced invalid embedding (bug): %w", err)
@@ -98,17 +95,14 @@ func SolveStageOne(net *nfv.Network, task nfv.Task, opts Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	cost, err := st.cost()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Observer != nil {
-		opts.emit(Event{Kind: EventStage1End, Cost: cost,
-			Candidates: stats.CandidatesTried, Duration: time.Since(t1)})
-	}
 	emb, err := st.embedding()
 	if err != nil {
 		return nil, err
+	}
+	cost := net.Cost(emb).Total
+	if opts.Observer != nil {
+		opts.emit(Event{Kind: EventStage1End, Cost: cost,
+			Candidates: stats.CandidatesTried, Duration: time.Since(t1)})
 	}
 	if err := net.Validate(emb); err != nil {
 		return nil, fmt.Errorf("core: produced invalid embedding (bug): %w", err)
@@ -155,16 +149,13 @@ func OptimizeEmbedding(net *nfv.Network, task nfv.Task, hosts []int, tails [][]i
 	if err != nil {
 		return nil, err
 	}
-	final, err := st.cost()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Observer != nil {
-		opts.emit(Event{Kind: EventStage2End, Cost: final, Moves: moves, Duration: time.Since(t2)})
-	}
 	emb, err := st.embedding()
 	if err != nil {
 		return nil, err
+	}
+	final := net.Cost(emb).Total
+	if opts.Observer != nil {
+		opts.emit(Event{Kind: EventStage2End, Cost: final, Moves: moves, Duration: time.Since(t2)})
 	}
 	if err := net.Validate(emb); err != nil {
 		return nil, fmt.Errorf("core: optimized embedding invalid: %w", err)

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"sftree/internal/core"
 	"sftree/internal/faults"
 	"sftree/internal/graph"
 	"sftree/internal/mod"
@@ -25,8 +24,6 @@ import (
 //	    construction skipped on same-signature, same-version solves)
 //	sp_pool_gets / sp_pool_news / sp_pool_reuse_rate
 //	    graph shortest-path scratch arenas (sync.Pool)
-//	journal_pool_gets / journal_pool_news / journal_pool_reuse_rate
-//	    core move-journal free lists
 //
 // Hit and reuse rates are fractions in [0,1]; they read 0 until the
 // first lookup.
@@ -59,12 +56,6 @@ func RegisterCacheStats(reg *Registry) {
 	reg.GaugeFunc("sp_pool_news", func() float64 { _, n := graph.PoolStats(); return float64(n) })
 	reg.GaugeFunc("sp_pool_reuse_rate", func() float64 {
 		g, n := graph.PoolStats()
-		return ratio(g-n, g)
-	})
-	reg.GaugeFunc("journal_pool_gets", func() float64 { g, _ := core.JournalPoolStats(); return float64(g) })
-	reg.GaugeFunc("journal_pool_news", func() float64 { _, n := core.JournalPoolStats(); return float64(n) })
-	reg.GaugeFunc("journal_pool_reuse_rate", func() float64 {
-		g, n := core.JournalPoolStats()
 		return ratio(g-n, g)
 	})
 }

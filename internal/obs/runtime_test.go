@@ -69,7 +69,6 @@ func TestRegisterCacheStats(t *testing.T) {
 		"metric_cache_hits", "metric_cache_misses", "metric_cache_hit_rate",
 		"apsp_cache_hits", "apsp_cache_misses", "apsp_cache_hit_rate",
 		"sp_pool_gets", "sp_pool_news", "sp_pool_reuse_rate",
-		"journal_pool_gets", "journal_pool_news", "journal_pool_reuse_rate",
 	} {
 		if _, ok := snap.Floats[name]; !ok {
 			t.Errorf("float %s not registered", name)

@@ -5,8 +5,8 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + perfbench vet/tests + race tests + chaos + recover + conformance + bench + obs + load
-#   ./tools.sh quick    # vet + gofmt + perfbench vet/tests only (skip the race run and smoke)
+#   ./tools.sh          # vet + gofmt + stdout hygiene + perfbench vet/tests + race tests + chaos + recover + conformance + bench + obs + load
+#   ./tools.sh quick    # vet + gofmt + stdout hygiene + perfbench vet/tests only (skip the race run and smoke)
 #   ./tools.sh load     # load gate only: fixed-seed open-loop sftload
 #                       # run against an in-process sftserve, asserting
 #                       # non-zero admissions, zero dropped measurements
@@ -197,6 +197,16 @@ fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
 	echo "gofmt: files need formatting:" >&2
 	echo "$fmt" >&2
+	exit 1
+fi
+
+# Library packages must not write to stdout: output belongs to the
+# commands under cmd/, and solver diagnostics go through core.Observer.
+echo "==> stdout hygiene: no fmt.Print* in non-test internal/ code"
+prints=$(grep -rnE 'fmt\.Print(f|ln)?\(' --include='*.go' internal | grep -v '_test\.go:' || true)
+if [ -n "$prints" ]; then
+	echo "stdout hygiene: library code prints to stdout:" >&2
+	echo "$prints" >&2
 	exit 1
 fi
 
