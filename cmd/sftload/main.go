@@ -328,7 +328,6 @@ type loadDoc struct {
 		WarmupSec   float64 `json:"warmup_sec"`
 		HoldSec     float64 `json:"hold_sec"`
 		Faults      int     `json:"faults"`
-		Parallelism int     `json:"parallelism"`
 	} `json:"config"`
 	Points []point `json:"points"`
 	// Metrics excerpts the server's /metrics floats (cache hit rates,
@@ -349,7 +348,6 @@ type world struct {
 	ts           *httptest.Server
 	srv          *server.Server
 	reg          *obs.Registry
-	opts         core.Options
 	mgr          *dynamic.Manager
 	state        *faults.State
 	flapU, flapV int
@@ -421,7 +419,7 @@ func (w *world) restart(ctx context.Context) (*dynamic.RecoverReport, error) {
 	// The drained manager's network is exactly the committed state the
 	// WAL describes (failed commits rolled their deployments back), so
 	// the restore re-attaches to it rather than rebuilding from scratch.
-	m, rep, err := dynamic.Restore(old.Network(), l, rec, w.opts)
+	m, rep, err := dynamic.Restore(old.Network(), l, rec, core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("restore: %w", err)
 	}
@@ -518,7 +516,6 @@ func run(args []string, stdout io.Writer) error {
 		hold     = fs.Duration("hold", 2*time.Second, "mean exponential session holding time before release (0 = never release)")
 		mixStr   = fs.String("mix", "2x2:2,4x3:2,8x5:1", "chain-signature mix: destsxchain[:weight] terms")
 		faultsN  = fs.Int("faults", 2, "link flap+Rebase cycles per rate point (in-process mode only)")
-		par      = fs.Int("parallelism", 2, "solver stage-one parallelism for the in-process server")
 		drain    = fs.Duration("drain", 10*time.Second, "post-window wait for in-flight admissions before counting them dropped")
 		out      = fs.String("out", "", "write the BENCH_load.json artifact here")
 		check    = fs.Bool("check", false, "smoke-gate mode: fail unless admissions, zero unsaturated drops, warm cache hit rates and a request-ID trace are observed")
@@ -549,7 +546,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	w := &world{url: *url, opts: core.Options{Parallelism: *par}}
+	w := &world{url: *url}
 	if *url == "" {
 		reg := obs.NewRegistry()
 		quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -569,12 +566,12 @@ func run(args []string, stdout io.Writer) error {
 			}
 			defer func() { w.log.Close() }()
 			w.log = l
-			cfg.Manager = dynamic.NewManager(network, w.opts).AttachWAL(l)
+			cfg.Manager = dynamic.NewManager(network, core.Options{}).AttachWAL(l)
 			w.tracking = true
 			w.ackedAdmit = make(map[dynamic.SessionID]bool)
 			w.ackedRel = make(map[dynamic.SessionID]bool)
 		}
-		srv := server.NewWith(network, w.opts, cfg)
+		srv := server.NewWith(network, core.Options{}, cfg)
 		w.ts = httptest.NewServer(srv)
 		w.url = w.ts.URL
 		w.srv = srv
@@ -630,7 +627,6 @@ func run(args []string, stdout io.Writer) error {
 	doc.Config.WarmupSec = warmup.Seconds()
 	doc.Config.HoldSec = hold.Seconds()
 	doc.Config.Faults = *faultsN
-	doc.Config.Parallelism = *par
 
 	fmt.Fprintf(stdout, "%10s %9s %9s %6s %5s %9s %8s %8s %8s %8s %7s %4s\n",
 		"rate/s", "admitted", "rejected", "errs", "drop", "adm/s", "p50ms", "p95ms", "p99ms", "p999ms", "rej%", "sat")

@@ -5,10 +5,9 @@
 // against with benchstat or plain diffing.
 //
 // The suite mirrors the hot-path benchmarks of bench_test.go and
-// internal/core/bench_test.go: the end-to-end solvers on the standard
-// mid-size instance (sequential and with a parallel stage-one sweep),
-// the warm-metric solve, the stage-two OPA pass, a fault-replay run
-// and concurrent admission.
+// internal/core/bench_test.go: the end-to-end solver on the standard
+// mid-size instance, the warm-metric solve, the stage-two OPA pass, a
+// fault-replay run and concurrent admission.
 package benchsuite
 
 import (
@@ -34,10 +33,7 @@ import (
 // Bench is one named, self-contained benchmark.
 type Bench struct {
 	Name string
-	// Parallelism is the core.Options.Parallelism the benchmark runs
-	// with (0 = sequential), recorded in its Result.
-	Parallelism int
-	F           func(b *testing.B)
+	F    func(b *testing.B)
 }
 
 // Result is the measured outcome of one benchmark.
@@ -47,10 +43,6 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	// Parallelism is the solver worker-pool setting the benchmark used
-	// (0 = sequential sweep); variants of the same benchmark differ
-	// only in this knob.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // Report is the JSON document written to BENCH_core.json.
@@ -59,8 +51,7 @@ type Report struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	NumCPU    int    `json:"num_cpu"`
-	// GoMaxProcs is the scheduler width the suite ran under; parallel
-	// benchmark variants cannot beat the sequential ones when it is 1.
+	// GoMaxProcs is the scheduler width the suite ran under.
 	GoMaxProcs int      `json:"gomaxprocs"`
 	Generated  string   `json:"generated"`
 	Benchmarks []Result `json:"benchmarks"`
@@ -93,15 +84,15 @@ func benchInstance(nodes, dests, chain int) (*nfv.Network, nfv.Task, error) {
 }
 
 // solveBench wraps an end-to-end solve of the standard instance.
-func solveBench(name string, opts core.Options) (Bench, error) {
+func solveBench() (Bench, error) {
 	net, task, err := benchInstance(100, 10, 5)
 	if err != nil {
 		return Bench{}, err
 	}
-	return Bench{Name: name, Parallelism: opts.Parallelism, F: func(b *testing.B) {
+	return Bench{Name: "SolveTwoStage100", F: func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Solve(net, task, opts); err != nil {
+			if _, err := core.Solve(net, task, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -181,8 +172,7 @@ func opaPassBench() (Bench, error) {
 // admission throughput: RunParallel goroutines each admit one session
 // from a fixed task mix and release it, so one op is a full
 // solve-outside-the-lock, validate-and-commit, release cycle under
-// real contention. Solves run sequentially (Parallelism 0) — the
-// concurrency under test is between admissions, not inside one.
+// real contention between admissions.
 func admitParallelBench() (Bench, error) {
 	net, err := netgen.Generate(netgen.PaperConfig(50, 2), rand.New(rand.NewSource(21)))
 	if err != nil {
@@ -289,22 +279,11 @@ func SolverPhasesWarm() (*obs.Breakdown, error) {
 
 // Suite assembles the full benchmark list.
 func Suite() ([]Bench, error) {
-	var out []Bench
-	solves := []struct {
-		name string
-		opts core.Options
-	}{
-		{"SolveTwoStage100", core.Options{}},
-		{"SolveTwoStage100Par2", core.Options{Parallelism: 2}},
-		{"SolveTwoStage100Par8", core.Options{Parallelism: 8}},
+	sb, err := solveBench()
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range solves {
-		b, err := solveBench(s.name, s.opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
+	out := []Bench{sb}
 	wb, err := warmMetricBench()
 	if err != nil {
 		return nil, err
@@ -345,7 +324,6 @@ func Run() ([]Result, error) {
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
-			Parallelism: bench.Parallelism,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

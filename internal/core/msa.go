@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"sftree/internal/graph"
 	"sftree/internal/mod"
@@ -22,9 +20,6 @@ const (
 	SteinerKMB SteinerAlgo = iota + 1
 	// SteinerTM is the Takahashi-Matsuyama path-growing heuristic.
 	SteinerTM
-	// SteinerMehlhorn is Mehlhorn's Voronoi-region 2-approximation,
-	// cheaper per call than KMB on large sparse networks.
-	SteinerMehlhorn
 )
 
 // Options tunes the two-stage algorithm. The zero value picks the
@@ -53,14 +48,6 @@ type Options struct {
 	// trade-off is more trial evaluations. Incompatible with
 	// LocalAcceptance (which has no global gate) — ignored there.
 	AggressiveOPA bool
-	// Parallelism bounds the worker goroutines evaluating stage-one
-	// candidate last-hosts concurrently. 0 or 1 runs the sweep
-	// sequentially; >1 uses that many workers (capped at the candidate
-	// count); <0 uses GOMAXPROCS. The result is bit-identical across
-	// every setting: candidate evaluation is pure (no shared mutable
-	// state), and the winners are reduced in candidate-index order with
-	// the same strict-< rule the sequential loop applies.
-	Parallelism int
 	// Scaffolds, when non-nil, memoizes the stage-one MOD overlay keyed
 	// by (source, chain signature, graph generation, deployment epoch):
 	// same-signature solves against the same network version skip the
@@ -110,21 +97,6 @@ func (o Options) steiner() SteinerAlgo {
 	return o.Steiner
 }
 
-// workers resolves Parallelism against the candidate count.
-func (o Options) workers(n int) int {
-	p := o.Parallelism
-	if p < 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	if p < 2 {
-		return 1
-	}
-	return p
-}
-
 // StageStats reports how stage one reached its feasible solution.
 type StageStats struct {
 	CandidatesTried int
@@ -164,75 +136,31 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 		candidates = candidates[:opts.MaxCandidateHosts]
 	}
 
-	results := make([]candResult, len(candidates))
-	if workers := opts.workers(len(candidates)); workers > 1 {
-		// Candidate evaluation is pure — it reads only the (warm)
-		// metric, the overlay's Dijkstra tree and the network — so the
-		// sweep fans out over a bounded worker pool pulling indices
-		// from an atomic cursor. A worker that sees an expired deadline
-		// marks its remaining claims skipped instead of evaluating;
-		// the ordered reduction below restores the anytime semantics.
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					idx := int(cursor.Add(1)) - 1
-					if idx >= len(candidates) {
-						return
-					}
-					if opts.ctxErr() != nil {
-						results[idx].skipped = true
-						continue
-					}
-					results[idx] = evalCandidate(net, task, overlay, sol, metric, opts.steiner(), candidates[idx])
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, w := range candidates {
-			results[i] = evalCandidate(net, task, overlay, sol, metric, opts.steiner(), w)
-			// Anytime semantics: once a plausibly feasible solution is in
-			// hand, an expired deadline stops the sweep; the reduction
-			// below decides what that means exactly (and resumes inline
-			// if the candidates in hand all turn out infeasible).
-			if results[i].ok && opts.ctxErr() != nil {
-				for j := i + 1; j < len(results); j++ {
-					results[j].skipped = true
-				}
-				break
-			}
-		}
-	}
-
-	// Index-ordered reduction, identical to the historical sequential
-	// loop: candidates are considered in sorted order, a strict < on
-	// total cost picks the winner, and stateFromSolution runs only for
-	// improving candidates (its failure skips the candidate without
-	// touching the running best).
+	// Candidates are tried in sorted order; a strict < on total cost
+	// picks the winner, and stateFromSolution runs only for improving
+	// candidates (its failure skips the candidate without touching the
+	// running best).
 	var (
 		bestState *state
 		bestCost  = graph.Inf
 		stats     StageStats
+		expired   bool // a feasible candidate was priced after the deadline
 	)
-	for i := range results {
-		r := &results[i]
-		if r.skipped {
-			// The deadline expired before this candidate ran. Mirror the
-			// sequential anytime rule: with a feasible solution in hand
-			// the sweep ends early; without one, keep evaluating inline
-			// so the solve fails only when no candidate is feasible.
-			if bestState != nil {
-				stats.EarlyStop = true
-				break
-			}
-			*r = evalCandidate(net, task, overlay, sol, metric, opts.steiner(), candidates[i])
+	for _, w := range candidates {
+		// Anytime semantics: once the deadline has expired and a
+		// solution is in hand, the sweep ends early. If every candidate
+		// priced so far failed to assemble, keep going so the solve
+		// fails only when no candidate is feasible.
+		if expired && bestState != nil {
+			stats.EarlyStop = true
+			break
 		}
+		r := evalCandidate(net, task, overlay, sol, metric, opts.steiner(), w)
 		if r.tried {
 			stats.CandidatesTried++
+		}
+		if r.ok && opts.ctxErr() != nil {
+			expired = true
 		}
 		if !r.ok || r.total >= bestCost {
 			continue
@@ -252,22 +180,18 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 	return bestState, &stats, nil
 }
 
-// candResult is one candidate last-host's evaluation, computed
-// without reference to the running best so candidates can run in any
-// order (or concurrently) and reduce deterministically by index.
+// candResult is one candidate last-host's evaluation.
 type candResult struct {
-	tried   bool // counted by StageStats.CandidatesTried
-	ok      bool // chain repaired and Steiner tree built
-	skipped bool // deadline expired before evaluation (parallel sweep)
-	hosts   []int
-	tree    steiner.Tree
-	total   float64
+	tried bool // counted by StageStats.CandidatesTried
+	ok    bool // chain repaired and Steiner tree built
+	hosts []int
+	tree  steiner.Tree
+	total float64
 }
 
 // evalCandidate prices candidate last-host w: decode the overlay's
 // optimal chain ending at w, repair capacity, and connect w to every
-// destination with a Steiner tree. It only reads shared state, so it
-// is safe to call concurrently once the metric is warm.
+// destination with a Steiner tree.
 func evalCandidate(net *nfv.Network, task nfv.Task, overlay *mod.Network, sol *mod.SFCSolution, metric *graph.Metric, algo SteinerAlgo, w int) candResult {
 	var r candResult
 	if sol.CostTo(w) == graph.Inf {
@@ -314,15 +238,10 @@ func BuildTails(net *nfv.Network, root int, dests []int, algo SteinerAlgo) ([][]
 // buildSteiner connects root to all destinations with the selected
 // Steiner routine.
 func buildSteiner(net *nfv.Network, metric *graph.Metric, root int, dests []int, algo SteinerAlgo) (steiner.Tree, error) {
-	terminals := append([]int{root}, dests...)
-	switch algo {
-	case SteinerTM:
+	if algo == SteinerTM {
 		return steiner.TakahashiMatsuyama(net.Graph(), metric, root, dests)
-	case SteinerMehlhorn:
-		return steiner.Mehlhorn(net.Graph(), terminals)
-	default:
-		return steiner.KMB(net.Graph(), metric, terminals)
 	}
+	return steiner.KMB(net.Graph(), metric, append([]int{root}, dests...))
 }
 
 // RepairChainHosts exposes the stage-one capacity-repair rule so that

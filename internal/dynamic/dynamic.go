@@ -208,9 +208,9 @@ func (m *Manager) Instrument(reg *obs.Registry) *Manager {
 // every admission and every fault-repair solve records a span tree
 // stamped with the originating request ID (taken from the admission
 // context's obs middleware value), the warm/cold metric label, the
-// early-stop flag, the stage-one parallelism, the commit-conflict
-// retry count and — for repairs — the repair-ladder rung. It returns
-// the manager for chaining; an untraced manager pays nothing.
+// early-stop flag, the commit-conflict retry count and — for repairs
+// — the repair-ladder rung. It returns the manager for chaining; an
+// untraced manager pays nothing.
 func (m *Manager) Trace(buf *obs.TraceBuffer) *Manager {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -312,7 +312,6 @@ type admitOutcome struct {
 	res     *core.Result
 	err     error
 	rec     *obs.SpanRecorder
-	par     int
 	retries int
 	tracing *obs.TraceBuffer
 }
@@ -325,7 +324,7 @@ func (m *Manager) admitLoop(ctx context.Context, task nfv.Task) admitOutcome {
 	var out admitOutcome
 	for {
 		snap := m.takeSnapshot()
-		out.tracing, out.par = snap.trace, snap.opts.Parallelism
+		out.tracing = snap.trace
 		attempt := snap.opts
 		attempt.Ctx = ctx
 		attempt.Scaffolds = m.scaffolds
@@ -378,13 +377,12 @@ func (m *Manager) finishAdmit(ctx context.Context, out admitOutcome, start time.
 		return
 	}
 	t := obs.Trace{
-		Op:          "admit",
-		RequestID:   obs.RequestID(ctx),
-		Session:     -1,
-		Parallelism: out.par,
-		Retries:     out.retries,
-		Start:       start,
-		DurationNs:  time.Since(start).Nanoseconds(),
+		Op:         "admit",
+		RequestID:  obs.RequestID(ctx),
+		Session:    -1,
+		Retries:    out.retries,
+		Start:      start,
+		DurationNs: time.Since(start).Nanoseconds(),
 	}
 	if out.rec != nil {
 		t.Warm = out.rec.Breakdown().Warm

@@ -30,12 +30,7 @@ type workspace struct {
 	alive []bool
 	// deg holds node degrees during pruning; always restored to zero.
 	deg []int32
-	// Multi-source Dijkstra state (Mehlhorn).
-	dist   []float64
-	parent []int
-	region []int32
-	heap   graph.NodeHeap
-	// uf serves both Kruskal over nodes and the terminal-region MST.
+	// uf serves Kruskal over the collected edges.
 	uf graph.UnionFind
 	// Terminal-sized buffers.
 	terms []int
@@ -43,9 +38,6 @@ type workspace struct {
 	tFrom []int32
 	tIn   []bool
 	pairs [][2]int32
-	// Bridge matrices (Mehlhorn), t*t flattened.
-	bridgeW []float64
-	bridgeE []int32
 }
 
 var wsPool = sync.Pool{New: func() any { return new(workspace) }}

@@ -8,8 +8,9 @@ import (
 // TestScale500Nodes exercises the full pipeline well beyond the
 // paper's largest network (|V|=250): a 500-node ER instance with 50
 // destinations and a 10-function chain must solve, validate, and
-// replay within a sane wall-time budget. Mehlhorn's Steiner routine is
-// also exercised at this scale, where its E log V advantage matters.
+// replay within a sane wall-time budget. The Takahashi-Matsuyama
+// Steiner routine is also exercised at this scale, so the non-default
+// stage-one path runs on a large network too.
 func TestScale500Nodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test is slow")
@@ -28,7 +29,7 @@ func TestScale500Nodes(t *testing.T) {
 		opts Options
 	}{
 		{"kmb", Options{}},
-		{"mehlhorn", Options{Steiner: SteinerMehlhorn}},
+		{"tm", Options{Steiner: SteinerTM}},
 	} {
 		res, err := SolveTwoStage(net, task, algo.opts)
 		if err != nil {

@@ -5,7 +5,7 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + stdout hygiene + perfbench vet/tests + race tests + chaos + recover + conformance + bench + obs + load
+#   ./tools.sh          # vet + gofmt + stdout hygiene + perfbench vet/tests + race tests + benchmark smoke + chaos + recover + conformance + bench + obs + load
 #   ./tools.sh quick    # vet + gofmt + stdout hygiene + perfbench vet/tests only (skip the race run and smoke)
 #   ./tools.sh load     # load gate only: fixed-seed open-loop sftload
 #                       # run against an in-process sftserve, asserting
@@ -130,11 +130,10 @@ recover_gate() {
 # point, /metrics must show non-zero metric-cache and APSP-cache hit
 # rates, and /debug/traces must hold an admission trace stamped with
 # its request ID. A second run re-measures the checked-in
-# BENCH_load.json's top rate point (same network, seed and solver
-# parallelism as the baseline) and fails if sustained adm/s dropped
-# more than 10% — regenerate the baseline after an intentional change
-# with:
-#   go run ./cmd/sftload -parallelism 4 -out BENCH_load.json
+# BENCH_load.json's top rate point (same network and seed as the
+# baseline) and fails if sustained adm/s dropped more than 10% —
+# regenerate the baseline after an intentional change with:
+#   go run ./cmd/sftload -out BENCH_load.json
 # The third run is the throughput floor gate: at a shared-signature
 # mix (one fixed chain, so admissions reuse each other's instances)
 # the server must sustain ≥1.5x the baseline's top unsaturated adm/s
@@ -143,7 +142,7 @@ load_gate() {
 	echo "==> load gate: sftload -rates 25 -duration 3s -faults 2 -check"
 	go run ./cmd/sftload -nodes 30 -seed 5 -rates 25 -duration 3s -warmup 1s -hold 1s -faults 2 -check
 	echo "==> load throughput gate: top BENCH_load.json rate point, -10% tolerance"
-	go run ./cmd/sftload -nodes 50 -seed 1 -rates 512 -duration 5s -warmup 1s -hold 2s -faults 2 -parallelism 4 -gate BENCH_load.json
+	go run ./cmd/sftload -nodes 50 -seed 1 -rates 512 -duration 5s -warmup 1s -hold 2s -faults 2 -gate BENCH_load.json
 	echo "==> throughput floor gate: shared-signature mix, 1.5x baseline floor"
 	go run ./cmd/sftload -nodes 50 -seed 1 -mix '6x4!' -rates 768 -duration 4s -warmup 1s -hold 2s -gate BENCH_load.json -gate-speedup 1.5
 	echo "OK (load gate)"
@@ -223,6 +222,11 @@ fi
 
 echo "==> go test -race -timeout 10m ./..."
 go test -race -timeout 10m ./...
+
+# Every Benchmark* function runs once, so a benchmark whose fixture a
+# change broke fails here instead of only when someone profiles.
+echo "==> benchmark smoke: go test -run '^$' -bench . -benchtime 1x ./..."
+go test -run '^$' -bench . -benchtime 1x ./...
 
 chaos_gate
 
